@@ -151,8 +151,8 @@ StatusOr<ExecutionResult> Executor::RunOn(ThreadPool& pool,
   // this plan-level accumulator (NOT read back from `result`, which the
   // success path moves out of before scope exit), and a scope guard
   // publishes it on every return path; by destructor time all job bodies
-  // have joined (the sequential loop and RunDag both complete before
-  // returning), so the read is race-free.
+  // have joined (RunDag completes before returning), so the read is
+  // race-free.
   Mutex plan_faults_mu;
   FaultReport plan_faults;
   struct FaultPublisher {
@@ -252,10 +252,6 @@ StatusOr<ExecutionResult> Executor::RunOn(ThreadPool& pool,
     job_span.Arg("job", spec->name);
 
     const auto job_start = std::chrono::steady_clock::now();
-    // Chaos and memory budgets route even single-threaded plans through
-    // the parallel runner (byte-identical to the sequential reference on a
-    // 1-thread pool) — RunJobPhysically has neither an injection point nor
-    // the spill machinery.
     FaultReport job_faults;
     ParallelRunnerOptions popts;
     if (chaos) {
@@ -269,10 +265,7 @@ StatusOr<ExecutionResult> Executor::RunOn(ThreadPool& pool,
       popts.mem_budget_bytes = mem_budget;
       popts.spill_dir = &spill_dir;
     }
-    StatusOr<PhysicalJobResult> phys =
-        (num_threads > 1 || chaos || budgeted)
-            ? RunJobParallel(*spec, pool, popts)
-            : RunJobPhysically(*spec);
+    StatusOr<PhysicalJobResult> phys = RunJobParallel(*spec, pool, popts);
     // Keep the fault accounting even when the job failed: the runner
     // published everything it injected/retried into job_faults, and the
     // plan-level FaultPublisher reads it from this slot.
@@ -343,18 +336,10 @@ StatusOr<ExecutionResult> Executor::RunOn(ThreadPool& pool,
     return s;
   };
 
+  // Jobs with disjoint deps overlap; map/reduce tasks within each job
+  // share the pool. At one thread RunDag runs the jobs in plan order.
   const auto plan_start = std::chrono::steady_clock::now();
-  if (num_threads == 1) {
-    // Sequential reference path: plan order, byte-identical to the
-    // pre-runtime executor.
-    for (int i = 0; i < num_jobs; ++i) {
-      MRTHETA_RETURN_IF_ERROR(run_job(i));
-    }
-  } else {
-    // Jobs with disjoint deps overlap; map/reduce tasks within each job
-    // share the pool.
-    MRTHETA_RETURN_IF_ERROR(RunDag(deps, num_threads, run_job));
-  }
+  MRTHETA_RETURN_IF_ERROR(RunDag(deps, num_threads, run_job));
   result.measured_seconds = SecondsSince(plan_start);
   for (const JobExecution& exec : result.jobs) {
     result.sim_shuffle_bytes += exec.metrics.map_output_bytes_logical;

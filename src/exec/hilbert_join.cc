@@ -433,12 +433,11 @@ class ComponentJoiner {
   }
 
   void EmitRow() {
-    std::vector<Value> row;
+    std::vector<int64_t> row;
     row.reserve(state_.output_bases.size());
     for (int base : state_.output_bases) {
       const int pos = InputCovering(base);
-      row.push_back(
-          Value(state_.inputs[pos].BaseRow(rows_[pos], base)));
+      row.push_back(state_.inputs[pos].BaseRow(rows_[pos], base));
     }
     out_.Emit(row);
   }

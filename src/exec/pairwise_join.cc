@@ -61,14 +61,11 @@ struct PairwiseState {
   }
 
   void EmitPair(int64_t lrow, int64_t rrow, ReduceCollector& out) const {
-    std::vector<Value> row;
+    std::vector<int64_t> row;
     row.reserve(output_bases.size());
     for (int base : output_bases) {
-      if (left.Covers(base)) {
-        row.push_back(Value(left.BaseRow(lrow, base)));
-      } else {
-        row.push_back(Value(right.BaseRow(rrow, base)));
-      }
+      row.push_back(left.Covers(base) ? left.BaseRow(lrow, base)
+                                      : right.BaseRow(rrow, base));
     }
     out.Emit(row);
   }

@@ -179,15 +179,16 @@ class MapEmitter {
 /// Collects Reduce outputs and CPU accounting.
 class ReduceCollector {
  public:
-  explicit ReduceCollector(Relation* output) : output_(output) {}
+  /// Latches kInvalidArgument up front when `output`'s schema has a
+  /// column that is not int64 (a builder bug): every Emit is then a no-op.
+  explicit ReduceCollector(Relation* output);
 
-  /// Appends one result row to the job's output relation. A failed append
-  /// — schema mismatch (a builder bug) or an allocation failure
+  /// Appends one result row of rids to the job's output relation (every
+  /// reduce output schema is all-int64). A failed append — arity mismatch
+  /// with the schema (a builder bug) or an allocation failure
   /// (kResourceExhausted) — latches the first error and turns subsequent
-  /// Emits into no-ops; runners surface it as the task's Status. This
-  /// used to be an assert(), i.e. silently ignored under NDEBUG Release
-  /// builds, and an abort on bad_alloc.
-  void Emit(const std::vector<Value>& row);
+  /// Emits into no-ops; runners surface it as the task's Status.
+  void Emit(const std::vector<int64_t>& row);
 
   /// Charges `n` *logical* tuple-pair comparisons to the current reduce
   /// task; drives the simulated CPU time of the task.

@@ -33,14 +33,28 @@ int HashPartition(int64_t key, int num_reduce_tasks) {
                           static_cast<uint64_t>(num_reduce_tasks));
 }
 
-void ReduceCollector::Emit(const std::vector<Value>& row) {
-  if (!status_.ok()) return;  // latch the first error, drop the rest
-  try {
-    Status s = output_->AppendRow(row);
-    if (!s.ok()) {
-      status_ = std::move(s);
+ReduceCollector::ReduceCollector(Relation* output) : output_(output) {
+  const Schema& schema = output_->schema();
+  for (int c = 0; c < schema.num_columns(); ++c) {
+    if (schema.column(c).type != ValueType::kInt64) {
+      status_ = Status::InvalidArgument(
+          "reduce output column " + std::to_string(c) + " is not int64");
       return;
     }
+  }
+}
+
+void ReduceCollector::Emit(const std::vector<int64_t>& row) {
+  if (!status_.ok()) return;  // latch the first error, drop the rest
+  if (static_cast<int>(row.size()) != output_->schema().num_columns()) {
+    status_ = Status::InvalidArgument(
+        "reduce output row arity " + std::to_string(row.size()) +
+        " != schema arity " +
+        std::to_string(output_->schema().num_columns()));
+    return;
+  }
+  try {
+    output_->AppendIntRow(row);
   } catch (const std::bad_alloc&) {
     status_ = Status::ResourceExhausted("reduce output row append failed");
     return;

@@ -29,8 +29,11 @@ struct PhysicalJobResult {
 /// (tag, row) for stability), invoke reduce once per key group, concatenate
 /// reduce outputs in task order.
 ///
-/// This runner never spills: budgeted executions route through the
-/// parallel runner (even at one thread), which owns the spill machinery.
+/// The reference implementation: tests and bench_skew check the
+/// production runner (RunJobParallel, src/runtime/parallel_job_runner.h)
+/// against it, and no production code calls it (scripts/lint.py's
+/// reference-runner rule). It has no spilling, fault injection or
+/// cancellation — those live only in the production runner.
 StatusOr<PhysicalJobResult> RunJobPhysically(const MapReduceJobSpec& spec);
 
 /// \brief Runs one reduce task: sorts `records` in place by (key, tag,

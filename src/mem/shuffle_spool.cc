@@ -34,6 +34,10 @@ bool RecordLess(const MapOutputRecord& a, const MapOutputRecord& b) {
 
 constexpr int64_t kRecordBytes = static_cast<int64_t>(sizeof(MapOutputRecord));
 
+// Records charged per step as an exact bucket fills (~2.5 KiB): one
+// ledger update per step instead of per record.
+constexpr size_t kChargeRecords = 64;
+
 }  // namespace
 
 ShuffleSpool::ShuffleSpool(int num_tasks, int64_t spill_limit_bytes,
@@ -52,18 +56,38 @@ void ShuffleSpool::ChargedPush(Bucket& bucket, const MapOutputRecord& rec) {
     const size_t new_cap =
         std::max<size_t>(64, bucket.records.capacity() * 2);
     bucket.records.reserve(new_cap);  // may throw; caller catches
-    const int64_t now_charged =
-        static_cast<int64_t>(bucket.records.capacity()) * kRecordBytes;
-    MemoryBudget::Global().Charge(now_charged - bucket.charged_bytes);
-    bucket.charged_bytes = now_charged;
   }
   bucket.records.push_back(rec);
+  // Doubling buckets are charged their capacity, exact ones as they fill,
+  // kChargeRecords at a time.
+  const size_t charged = bucket.charged_records;
+  if (bucket.records.size() > charged) {
+    const size_t cap = bucket.records.capacity();
+    const size_t now =
+        bucket.exact ? std::min(charged + kChargeRecords, cap) : cap;
+    MemoryBudget::Global().Charge(static_cast<int64_t>(now - charged) *
+                                  kRecordBytes);
+    bucket.charged_records = now;
+  }
 }
 
 void ShuffleSpool::UnchargeBucket(Bucket& bucket) {
   bucket.records = std::vector<MapOutputRecord>();
-  MemoryBudget::Global().Uncharge(bucket.charged_bytes);
-  bucket.charged_bytes = 0;
+  MemoryBudget::Global().Uncharge(
+      static_cast<int64_t>(bucket.charged_records) * kRecordBytes);
+  bucket.charged_records = 0;
+}
+
+void ShuffleSpool::ReserveExact(const std::vector<int64_t>& task_records) {
+  MutexLock lock(&partition_mu_);
+  try {
+    for (size_t t = 0; t < buckets_.size(); ++t) {
+      buckets_[t].records.reserve(static_cast<size_t>(task_records[t]));
+      buckets_[t].exact = true;
+    }
+  } catch (const std::bad_alloc&) {
+    status_ = Status::ResourceExhausted("shuffle partition reservation failed");
+  }
 }
 
 void ShuffleSpool::Append(int task, const MapOutputRecord& rec) {
@@ -148,54 +172,39 @@ Status ShuffleSpool::FinishWrites() {
 }
 
 StatusOr<ShuffleSpool::MaterializedTask> ShuffleSpool::MaterializeTask(
-    int task) const {
-  // Snapshot the bucket under the partition lock, then run the (possibly
-  // long) k-way merge outside it: concurrent reduce tasks materialize in
-  // parallel, serialized only for the copy. The merge reads spill_file_,
-  // which is frozen after FinishWrites (see the member comment).
-  std::vector<MapOutputRecord> resident;
-  std::vector<Run> runs;
+    int task, std::vector<MapOutputRecord>* merged) {
+  // The lock only orders this lookup after the Append phase; the bucket
+  // is then used outside it (see the header: only this task touches it),
+  // so concurrent reduce tasks sort and merge in parallel. The merge reads
+  // spill_file_, which is frozen after FinishWrites (see the member
+  // comment).
+  Bucket* bucket = nullptr;
   {
     MutexLock lock(&partition_mu_);
     if (task < 0 || task >= static_cast<int>(buckets_.size())) {
       return Status::Internal("materialize of unknown shuffle task " +
                               std::to_string(task));
     }
-    const Bucket& bucket = buckets_[static_cast<size_t>(task)];
-    try {
-      // A copy, not a move — a retried task attempt re-materializes the
-      // same records.
-      resident = bucket.records;
-      runs = bucket.runs;
-    } catch (const std::bad_alloc&) {
-      return Status::ResourceExhausted(
-          "materializing shuffle task " + std::to_string(task) + " (" +
-          std::to_string(bucket.records.size()) + " resident records, " +
-          std::to_string(bucket.runs.size()) + " spilled runs) failed");
-    }
+    bucket = &buckets_[static_cast<size_t>(task)];
   }
-  MaterializedTask out;
-  try {
-    if (runs.empty()) {
-      // Pure in-memory bucket: hand back the copy in append order. The
-      // runner's usual sort follows.
-      out.records = std::move(resident);
-      out.sorted = false;
-      return out;
-    }
+  if (bucket->runs.empty()) return MaterializedTask{&bucket->records, false};
 
-    TraceSpan span("spill-merge", "mem");
-    int64_t total = static_cast<int64_t>(resident.size());
-    for (const Run& run : runs) total += run.count;
-    out.records.reserve(static_cast<size_t>(total));
+  TraceSpan span("spill-merge", "mem");
+  std::vector<MapOutputRecord>& out = *merged;
+  out.clear();
+  try {
+    int64_t total = static_cast<int64_t>(bucket->records.size());
+    for (const Run& run : bucket->runs) total += run.count;
+    out.reserve(static_cast<size_t>(total));
 
     // One merge source per spilled run plus the sorted in-memory tail.
     struct Source {
       std::optional<SpillFile::Reader> reader;  // null for the tail
-      std::vector<MapOutputRecord> buffer;
-      size_t pos = 0;
+      std::vector<MapOutputRecord> buffer;      // refilled from `reader`
+      const MapOutputRecord* next = nullptr;    // unread [next, end)
+      const MapOutputRecord* end = nullptr;
 
-      bool Exhausted() const { return pos == buffer.size(); }
+      bool Exhausted() const { return next == end; }
       Status Refill() {
         if (reader == std::nullopt) return Status::OK();  // tail never refills
         buffer.resize(static_cast<size_t>(kMergeBufferRecords));
@@ -203,34 +212,36 @@ StatusOr<ShuffleSpool::MaterializedTask> ShuffleSpool::MaterializeTask(
             reader->Read(buffer.data(), kMergeBufferRecords * kRecordBytes);
         MRTHETA_RETURN_IF_ERROR(got.status());
         buffer.resize(static_cast<size_t>(*got / kRecordBytes));
-        pos = 0;
+        next = buffer.data();
+        end = next + buffer.size();
         return Status::OK();
       }
     };
+    // Reserved up front: sources point into their own buffers, so the
+    // vector must never reallocate.
     std::vector<Source> sources;
-    sources.reserve(runs.size() + 1);
-    for (const Run& run : runs) {
+    sources.reserve(bucket->runs.size() + 1);
+    for (const Run& run : bucket->runs) {
       StatusOr<SpillFile::Reader> reader =
           spill_file_->OpenReader(run.offset_bytes, run.count * kRecordBytes);
       if (!reader.ok()) return reader.status();
-      Source src;
+      Source& src = sources.emplace_back();
       src.reader = *std::move(reader);
       MRTHETA_RETURN_IF_ERROR(src.Refill());
-      sources.push_back(std::move(src));
     }
     {
-      Source tail;
-      tail.buffer = std::move(resident);  // snapshot; the bucket is intact
-      std::sort(tail.buffer.begin(), tail.buffer.end(), RecordLess);
-      sources.push_back(std::move(tail));
+      std::sort(bucket->records.begin(), bucket->records.end(), RecordLess);
+      Source& tail = sources.emplace_back();
+      tail.next = bucket->records.data();
+      tail.end = tail.next + bucket->records.size();
     }
 
     // K-way merge. The heap holds source indices ordered by each source's
     // current head record; source index breaks exact ties, which (with the
     // identical-ties contract) fixes one deterministic merge order.
     auto heap_greater = [&sources](size_t a, size_t b) {
-      const MapOutputRecord& ra = sources[a].buffer[sources[a].pos];
-      const MapOutputRecord& rb = sources[b].buffer[sources[b].pos];
+      const MapOutputRecord& ra = *sources[a].next;
+      const MapOutputRecord& rb = *sources[b].next;
       if (RecordLess(ra, rb)) return false;
       if (RecordLess(rb, ra)) return true;
       return a > b;
@@ -245,7 +256,7 @@ StatusOr<ShuffleSpool::MaterializedTask> ShuffleSpool::MaterializeTask(
       const size_t i = heap.back();
       heap.pop_back();
       Source& src = sources[i];
-      out.records.push_back(src.buffer[src.pos++]);
+      out.push_back(*src.next++);
       if (src.Exhausted()) {
         MRTHETA_RETURN_IF_ERROR(src.Refill());
       }
@@ -255,13 +266,12 @@ StatusOr<ShuffleSpool::MaterializedTask> ShuffleSpool::MaterializeTask(
       }
     }
     if (span.enabled()) span.Arg("records", total);
-    out.sorted = true;
-    return out;
+    return MaterializedTask{merged, true};
   } catch (const std::bad_alloc&) {
     return Status::ResourceExhausted(
         "materializing shuffle task " + std::to_string(task) + " (" +
-        std::to_string(out.records.size()) + " merged records, " +
-        std::to_string(runs.size()) + " spilled runs) failed");
+        std::to_string(out.size()) + " merged records, " +
+        std::to_string(bucket->runs.size()) + " spilled runs) failed");
   }
 }
 

@@ -22,10 +22,9 @@ namespace mrtheta {
 ///  1. Append(task, rec) from the *sequential* merge walk — appends are
 ///     single-threaded, in emit order, and may spill the largest bucket;
 ///  2. FinishWrites() once, before the reduce phase;
-///  3. MaterializeTask(t) from concurrent reduce workers — non-destructive
-///     (a retried attempt re-materializes the same records) and
-///     thread-safe for distinct tasks, each merge reading the shared file
-///     through its own handles;
+///  3. MaterializeTask(t) from concurrent reduce workers — thread-safe for
+///     distinct tasks, each merge reading the shared file through its own
+///     handles; a retried attempt re-materializes the same records;
 ///  4. ReleaseTask(t) from the task's commit, freeing the bucket.
 ///
 /// Spilled runs are sorted by (key, tag, row) — RunReduceTask's exact
@@ -35,11 +34,13 @@ namespace mrtheta {
 /// the reduced sequence; outputs are byte-identical with or without
 /// spilling.
 ///
-/// Bucket memory is tracked against MemoryBudget::Global() (exact vector
+/// Bucket memory is tracked against MemoryBudget::Global() (vector
 /// capacities, not pages: shuffle partitions are many and small, and page
-/// rounding would defeat tight budgets). The spool's spill file is removed
-/// by its destructor; the per-execution SpillDirectory sweeps whatever an
-/// abandoned process state leaves behind.
+/// rounding would defeat tight budgets). Buckets grow by doubling, or are
+/// reserved exactly up front by ReserveExact when spilling is disarmed.
+/// The spool's spill file is removed by its destructor; the per-execution
+/// SpillDirectory sweeps whatever an abandoned process state leaves
+/// behind.
 class ShuffleSpool {
  public:
   /// `dir` is not owned and may be null (spilling disarmed);
@@ -48,6 +49,13 @@ class ShuffleSpool {
   ShuffleSpool(const ShuffleSpool&) = delete;
   ShuffleSpool& operator=(const ShuffleSpool&) = delete;
   ~ShuffleSpool();
+
+  /// For a spool with spilling disarmed: reserves every task's bucket at
+  /// its final record count, so buckets never reallocate or keep growth
+  /// slack. An exact bucket is written front to back and charged as it
+  /// fills, not up front while the map pages it copies are still charged.
+  /// A failed reservation latches into status().
+  void ReserveExact(const std::vector<int64_t>& task_records);
 
   /// Appends one record to `task`'s bucket; may spill. Errors latch into
   /// status() and turn later Appends into no-ops.
@@ -64,17 +72,24 @@ class ShuffleSpool {
   }
 
   struct MaterializedTask {
-    std::vector<MapOutputRecord> records;
+    /// Task `t`'s complete record set: its own bucket, or `*merged`.
+    std::vector<MapOutputRecord>* records = nullptr;
     /// True when the records come (partly) from sorted runs and are
     /// already in (key, tag, row) order; false = append order.
     bool sorted = false;
   };
 
-  /// Returns task `t`'s complete record set: the k-way merge of its
-  /// spilled runs and its (sorted) in-memory tail, or a copy of the
-  /// bucket in append order when nothing spilled. The caller owns the
-  /// vector (and should charge it to the budget for accounting).
-  StatusOr<MaterializedTask> MaterializeTask(int task) const;
+  /// Returns task `t`'s records for one reduce attempt. A never-spilled
+  /// task gets its bucket itself, in append order, for the reducer to
+  /// sort and reduce in place — no copy. That is safe because after
+  /// FinishWrites a bucket is touched only by its own task, whose attempts
+  /// never overlap, and sorting is idempotent: a retried attempt re-sorts
+  /// the bucket into the same order. A spilled task gets the k-way merge
+  /// of its runs and its (sorted in place) resident tail, written to
+  /// `*merged` — the caller owns that vector and should charge it to the
+  /// budget for accounting.
+  StatusOr<MaterializedTask> MaterializeTask(
+      int task, std::vector<MapOutputRecord>* merged);
 
   /// Frees task `t`'s in-memory bucket (commit-time; runs stay on disk
   /// until the spool dies but are never re-read after release).
@@ -95,8 +110,9 @@ class ShuffleSpool {
     int64_t count = 0;
   };
   struct Bucket {
-    std::vector<MapOutputRecord> records;  ///< capacity charged to budget
-    int64_t charged_bytes = 0;
+    std::vector<MapOutputRecord> records;  ///< charged by ChargedPush
+    size_t charged_records = 0;
+    bool exact = false;  ///< reserved by ReserveExact; charged as filled
     std::vector<Run> runs;
   };
 

@@ -64,6 +64,14 @@ void Relation::AppendIntRow(const std::vector<int64_t>& row) {
   Touch();
 }
 
+void Relation::Reserve(int64_t rows) {
+  for (ColumnData& col : cols_) {
+    std::visit(
+        [&](auto& v) { v.reserve(v.size() + static_cast<size_t>(rows)); },
+        col);
+  }
+}
+
 Status Relation::AppendRows(const Relation& other) {
   if (other.schema_.num_columns() != schema_.num_columns()) {
     return Status::InvalidArgument(

@@ -70,6 +70,9 @@ class Relation {
   /// Typed fast-path appenders for generators (all-int64 schemas).
   void AppendIntRow(const std::vector<int64_t>& row);
 
+  /// Capacity hint: reserves room for `rows` more rows in every column.
+  void Reserve(int64_t rows);
+
   /// Appends every row of `other` (column-at-a-time, no Value boxing).
   /// Column count and types must match this relation's schema.
   Status AppendRows(const Relation& other);

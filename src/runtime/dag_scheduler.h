@@ -14,7 +14,8 @@ namespace mrtheta {
 /// start; nodes whose dependency sets are disjoint run concurrently on up
 /// to `max_concurrency` threads. Node bodies may block (they typically run
 /// a whole MapReduce job), so every concurrently-runnable node gets its own
-/// thread rather than a slot on a task pool.
+/// thread rather than a slot on a task pool; the calling thread is one of
+/// them, so `max_concurrency` 1 runs every body on the caller.
 ///
 /// Determinism contract: `body(i)` runs at most once per node, all of a
 /// node's dependency bodies happen-before it, and every body's side effects

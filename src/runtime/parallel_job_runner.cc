@@ -99,7 +99,7 @@ struct FaultContext {
 
   Mutex report_mu;
   /// Guarded during the parallel phases; read unlocked only after the
-  /// ParallelFor barrier (publish_report in RunJobParallel).
+  /// ParallelFor barrier (ReportPublisher in RunJobParallel).
   FaultReport report MRTHETA_GUARDED_BY(report_mu);
 
   bool Cancelled() const {
@@ -334,14 +334,18 @@ StatusOr<PhysicalJobResult> RunJobParallel(
   const bool chaos = options.injector != nullptr;
   const bool budgeted =
       options.spill_dir != nullptr && options.mem_budget_bytes > 0;
-  // Called only after a ParallelFor barrier, so the lock is uncontended;
-  // taking it anyway keeps the guarded-by discipline uniform.
-  auto publish_report = [&]() {
-    if (options.fault_report != nullptr) {
+  // Publishes the fault accounting on every return path below. Each one
+  // follows a ParallelFor barrier, so the lock is uncontended; taking it
+  // anyway keeps the guarded-by discipline uniform.
+  struct ReportPublisher {
+    FaultContext& ctx;
+    FaultReport* out;
+    ~ReportPublisher() {
+      if (out == nullptr) return;
       MutexLock lock(&ctx.report_mu);
-      options.fault_report->Merge(ctx.report);
+      out->Merge(ctx.report);
     }
-  };
+  } report_publisher{ctx, options.fault_report};
 
   PhysicalJobResult result;
   result.output =
@@ -410,29 +414,31 @@ StatusOr<PhysicalJobResult> RunJobParallel(
         }
       });
   map_phase.End();
-  {
-    Status map_error = SelectTaskError(map_status);
-    if (!map_error.ok()) {
-      publish_report();
-      return map_error;
-    }
-  }
+  MRTHETA_RETURN_IF_ERROR(SelectTaskError(map_status));
   for (MapSplit& split : splits) {
     m.map_output_records_physical += split.emitter.size();
   }
   if (ctx.Cancelled()) {  // external cancel between phases
-    publish_report();
     return ctx.CancelledStatus(spec.name);
   }
 
   // ---- Shuffle merge: sequential walk in split order ----
   // Byte accounting uses floating-point accumulation, so this walk visits
   // records in exactly the sequential runner's order; the per-record work
-  // (two additions, one push) is trivial next to map/reduce compute.
+  // (a count, two additions, one push) is trivial next to map/reduce.
   TraceSpan shuffle_phase("shuffle-merge", "runtime");
   if (shuffle_phase.enabled()) shuffle_phase.Arg("job", spec.name);
   ShuffleSpool spool(n, budgeted ? options.mem_budget_bytes : 0,
                      budgeted ? options.spill_dir : nullptr);
+  if (!budgeted) {
+    // A counting pass sizes every bucket exactly.
+    std::vector<int64_t> task_records(n, 0);
+    for (MapSplit& split : splits) {
+      MRTHETA_RETURN_IF_ERROR(split.emitter.ForEach(
+          [&](const MapOutputRecord& rec) { ++task_records[rec.target]; }));
+    }
+    spool.ReserveExact(task_records);  // errors surface from the walk
+  }
   std::vector<double> task_bytes(n, 0.0);
   double map_out_bytes = 0.0;
   for (MapSplit& split : splits) {
@@ -447,7 +453,6 @@ StatusOr<PhysicalJobResult> RunJobParallel(
     });
     if (walk.ok() && !spool.status().ok()) walk = spool.status();
     if (!walk.ok()) {
-      publish_report();
       return Status::WithCode(walk.code(), "shuffle merge failed in job '" +
                                                spec.name +
                                                "': " + walk.message());
@@ -456,13 +461,7 @@ StatusOr<PhysicalJobResult> RunJobParallel(
     // (and any spill file it made) eagerly.
     split.emitter.Clear();
   }
-  {
-    Status finish = spool.FinishWrites();
-    if (!finish.ok()) {
-      publish_report();
-      return finish;
-    }
-  }
+  MRTHETA_RETURN_IF_ERROR(spool.FinishWrites());
   result.spill_bytes += spool.spill_bytes();
   result.spill_files += spool.spill_files();
   m.map_output_bytes_logical = static_cast<int64_t>(map_out_bytes);
@@ -474,16 +473,13 @@ StatusOr<PhysicalJobResult> RunJobParallel(
 
   // ---- Reduce phase: restartable tasks, each with a private output ----
   // RunReduceTask is the same sort+group+reduce loop the sequential runner
-  // uses — sharing it is what keeps the runners byte-identical.
-  // MaterializeTask is non-destructive, so a retried attempt reduces
-  // exactly the records the failed attempt saw; spilled tasks arrive
-  // pre-merged in (key, tag, row) order and skip the reduce-side sort.
+  // uses — sharing it is what keeps the runners byte-identical. A
+  // never-spilled task sorts and reduces its shuffle bucket in place; a
+  // retried attempt re-sorts it into the same order, so it reduces exactly
+  // the records the failed attempt saw. Spilled tasks arrive pre-merged in
+  // (key, tag, row) order and skip the reduce-side sort.
   m.reduce_comparisons_logical.assign(n, 0.0);
-  std::vector<Relation> task_outputs;
-  task_outputs.reserve(n);
-  for (int t = 0; t < n; ++t) {
-    task_outputs.emplace_back(spec.output_name, spec.output_schema);
-  }
+  std::vector<Relation> task_outputs(n);
   TaskTimeTracker reduce_tracker;
   std::vector<Status> reduce_status(n);
   TraceSpan reduce_phase("reduce-phase", "runtime");
@@ -495,15 +491,16 @@ StatusOr<PhysicalJobResult> RunJobParallel(
     Relation attempt_output;  // attempt-local until commit
     auto work = [&]() -> Status {
       attempt_output = Relation(spec.output_name, spec.output_schema);
+      std::vector<MapOutputRecord> merged;  // filled only for spilled tasks
       StatusOr<ShuffleSpool::MaterializedTask> input =
-          spool.MaterializeTask(static_cast<int>(t));
+          spool.MaterializeTask(static_cast<int>(t), &merged);
       if (!input.ok()) return input.status();
-      // Account the materialized vector so concurrent reduce tasks show
-      // up in peak-memory tracking (it frees with the attempt).
-      ScopedCharge charge(
-          static_cast<int64_t>(input->records.capacity()) *
-          static_cast<int64_t>(sizeof(MapOutputRecord)));
-      StatusOr<double> c = RunReduceTask(spec, input->records,
+      // Account a spilled task's merge so concurrent reduce tasks show up
+      // in peak-memory tracking (it frees with the attempt); an in-place
+      // bucket is already charged by the spool.
+      ScopedCharge charge(static_cast<int64_t>(merged.capacity()) *
+                          static_cast<int64_t>(sizeof(MapOutputRecord)));
+      StatusOr<double> c = RunReduceTask(spec, *input->records,
                                          &attempt_output, input->sorted);
       if (!c.ok()) return c.status();
       comparisons = *c;
@@ -511,8 +508,8 @@ StatusOr<PhysicalJobResult> RunJobParallel(
     };
     auto commit = [&]() {
       m.reduce_comparisons_logical[t] = comparisons;
-      task_outputs[t] = std::move(attempt_output);
       spool.ReleaseTask(static_cast<int>(t));
+      task_outputs[t] = std::move(attempt_output);
     };
     reduce_status[t] = RunRestartableTask(
         ctx, spec.name, FaultPoint::kReduceAlloc, FaultPoint::kReduceTask,
@@ -522,22 +519,17 @@ StatusOr<PhysicalJobResult> RunJobParallel(
     }
   });
   reduce_phase.End();
-  {
-    Status reduce_error = SelectTaskError(reduce_status);
-    if (!reduce_error.ok()) {
-      publish_report();
-      return reduce_error;
-    }
-  }
+  MRTHETA_RETURN_IF_ERROR(SelectTaskError(reduce_status));
 
-  // Concatenate task outputs in task order — the sequential runner appends
-  // reduce output to one relation in exactly this order.
-  for (Relation& task_output : task_outputs) {
-    Status append = result.output->AppendRows(task_output);
-    if (!append.ok()) {
-      publish_report();
-      return append;
-    }
+  // Concatenate task outputs in task order — the reference runner appends
+  // reduce output to one relation in exactly this order — into an output
+  // reserved at its final size, freeing each task output once copied.
+  int64_t output_rows = 0;
+  for (const Relation& out : task_outputs) output_rows += out.num_rows();
+  result.output->Reserve(output_rows);
+  for (Relation& out : task_outputs) {
+    MRTHETA_RETURN_IF_ERROR(result.output->AppendRows(out));
+    out = Relation();
   }
 
   // ---- Output accounting (identical to the sequential runner) ----
@@ -548,7 +540,6 @@ StatusOr<PhysicalJobResult> RunJobParallel(
   result.output->set_logical_rows(
       static_cast<int64_t>(std::llround(capped_rows)));
   m.output_bytes_logical = result.output->logical_bytes();
-  publish_report();
   return result;
 }
 

@@ -47,10 +47,13 @@ struct ParallelRunnerOptions {
   SpillDirectory* spill_dir = nullptr;
 };
 
-/// \brief Multi-threaded, deterministic executor for one MapReduceJobSpec.
+/// \brief Multi-threaded, deterministic executor for one MapReduceJobSpec:
+/// the runner every plan job runs through, at every pool width (one
+/// included), budget and fault plan.
 ///
-/// Mirrors the phases of RunJobPhysically (src/mapreduce/job_runner.cc) but
-/// fans them out over a ThreadPool:
+/// Runs the phases of the single-threaded reference runner
+/// (src/mapreduce/job_runner.h), which tests compare it against, but fans
+/// them out over a ThreadPool:
 ///  - map tasks over contiguous input-row splits, each with a private
 ///    MapEmitter, merged in (input, split) order — reproducing the exact
 ///    record order of the sequential runner;
@@ -60,7 +63,8 @@ struct ParallelRunnerOptions {
 ///    the sequential runner's order). Under a memory budget the buckets
 ///    live in a ShuffleSpool that spills sorted runs to disk and k-way
 ///    merges them back per reduce task (docs/MEMORY.md);
-///  - reduce tasks running concurrently, each collecting into a private
+///  - reduce tasks running concurrently, each sorting and reducing its
+///    never-spilled shuffle bucket in place and collecting into a private
 ///    output relation; task outputs are concatenated in task order.
 ///
 /// Fault tolerance: with `options.injector` set, map splits and reduce
@@ -78,8 +82,8 @@ struct ParallelRunnerOptions {
 /// Determinism contract (tested by tests/runtime_test.cc and
 /// tests/fault_test.cc): for any spec, any pool size, and any FaultPlan
 /// the job survives, the output relation (including row order) and every
-/// JobMeasurement field are identical to RunJobPhysically's — commit-on-
-/// success makes re-execution invisible. Map and reduce closures must
+/// JobMeasurement field are identical to the reference runner's —
+/// commit-on-success makes re-execution invisible. Map and reduce closures must
 /// therefore be pure readers of their captured state — true for every
 /// builder in src/exec (state structs are immutable after build).
 StatusOr<PhysicalJobResult> RunJobParallel(

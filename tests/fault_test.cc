@@ -143,14 +143,22 @@ TEST(CancellationTokenTest, ChainsToParent) {
 TEST(ReduceCollectorTest, LatchesTheFirstAppendError) {
   Relation out("out", Schema({{"a", ValueType::kInt64}}));
   ReduceCollector collector(&out);
-  collector.Emit({Value(int64_t{1}), Value(int64_t{2})});  // arity mismatch
+  collector.Emit({1, 2});  // arity mismatch
   EXPECT_FALSE(collector.status().ok());
   EXPECT_EQ(collector.rows_emitted(), 0);
   // Latched: later (even well-formed) emits are dropped, the first error
   // survives for the runner to surface.
-  collector.Emit({Value(int64_t{1})});
+  collector.Emit({1});
   EXPECT_EQ(collector.rows_emitted(), 0);
   EXPECT_EQ(out.num_rows(), 0);
+
+  // A non-int64 output column is a type mismatch, latched the same way.
+  Relation mixed("mixed", Schema({{"a", ValueType::kInt64},
+                                  {"b", ValueType::kDouble}}));
+  ReduceCollector mixed_collector(&mixed);
+  mixed_collector.Emit({1, 2});
+  EXPECT_EQ(mixed_collector.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(mixed.num_rows(), 0);
 }
 
 // ---- Restartable-task machinery on a small hand-checkable job ----

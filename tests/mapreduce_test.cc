@@ -2,11 +2,14 @@
 // discrete-event engine, the timing model, the load models, and the
 // bounded-memory emit/spill machinery (docs/MEMORY.md).
 
+#include <algorithm>
 #include <memory>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/mapreduce/job_runner.h"
 #include "src/mapreduce/load_model.h"
 #include "src/mapreduce/sim_cluster.h"
 #include "src/mem/memory_budget.h"
@@ -36,8 +39,7 @@ MapReduceJobSpec CountJob(RelationPtr rel, int reducers) {
     out.Emit(r.GetInt(row, 0), tag, row, row, 16);
   };
   spec.reduce = [](const ReduceContext& ctx, ReduceCollector& out) {
-    out.Emit({Value(ctx.key),
-              Value(static_cast<int64_t>(ctx.records(0).size()))});
+    out.Emit({ctx.key, static_cast<int64_t>(ctx.records(0).size())});
   };
   return spec;
 }
@@ -61,7 +63,7 @@ TEST(JobRunnerTest, KeysArriveSortedWithinTask) {
   std::vector<int64_t> seen;
   spec.reduce = [&seen](const ReduceContext& ctx, ReduceCollector& out) {
     seen.push_back(ctx.key);
-    out.Emit({Value(ctx.key), Value(int64_t{0})});
+    out.Emit({ctx.key, 0});
   };
   ASSERT_TRUE(RunJobPhysically(spec).ok());
   ASSERT_EQ(seen.size(), 10u);
@@ -311,45 +313,79 @@ TEST(ShuffleSpoolTest, SpilledRunsMergeBackSorted) {
   // Push enough records through a 2-task spool under a 1-byte limit that
   // several sorted runs hit the shared spill file, then materialize: every
   // record comes back, sorted by (key, tag, row), twice in a row (the
-  // chaos-retry path re-materializes).
-  ScopedMemoryBudget tiny(1);
-  SpillDirectory dir;
-  ShuffleSpool spool(2, 1, &dir);
-  const int64_t n = 20000;
-  for (int64_t i = 0; i < n; ++i) {
-    MapOutputRecord rec;
-    rec.key = (i * 2654435761u) % 1000;
-    rec.tag = static_cast<int32_t>(i % 2);
-    rec.target = static_cast<int32_t>(i % 2);
-    rec.row = i;
-    rec.rec_id = i;
-    rec.bytes = 16;
-    spool.Append(rec.target, rec);
-  }
-  ASSERT_TRUE(spool.status().ok()) << spool.status().ToString();
-  ASSERT_TRUE(spool.FinishWrites().ok());
-  EXPECT_GT(spool.spill_bytes(), 0);
-  EXPECT_EQ(spool.spill_files(), 1);
-  int64_t total = 0;
-  for (int task = 0; task < 2; ++task) {
-    for (int pass = 0; pass < 2; ++pass) {
-      const auto got = spool.MaterializeTask(task);
-      ASSERT_TRUE(got.ok()) << got.status().ToString();
-      ASSERT_TRUE(got->sorted);
-      for (size_t i = 0; i + 1 < got->records.size(); ++i) {
-        const MapOutputRecord& a = got->records[i];
-        const MapOutputRecord& b = got->records[i + 1];
-        const bool le = a.key < b.key ||
-                        (a.key == b.key &&
-                         (a.tag < b.tag ||
-                          (a.tag == b.tag && a.row <= b.row)));
-        ASSERT_TRUE(le) << "task " << task << " index " << i;
+  // chaos-retry path re-materializes). Without a limit nothing spills and
+  // each task gets its own bucket, in append order, to sort in place — the
+  // retry re-sorts the already-sorted bucket into the same sequence.
+  // Buckets reserved exactly hold exactly their records, and are charged
+  // as records land (within one 64-record step per bucket) until the
+  // charge equals the capacity.
+  const auto less = [](const MapOutputRecord& a, const MapOutputRecord& b) {
+    return std::tie(a.key, a.tag, a.row) < std::tie(b.key, b.tag, b.row);
+  };
+  const int64_t rec_bytes = static_cast<int64_t>(sizeof(MapOutputRecord));
+  struct Case {
+    int64_t limit;
+    bool exact;
+  };
+  for (const Case c : {Case{1, false}, Case{0, false}, Case{0, true}}) {
+    const int64_t limit = c.limit;
+    ScopedMemoryBudget budget(limit);
+    const int64_t base = MemoryBudget::Global().in_use_bytes();
+    SpillDirectory dir;
+    ShuffleSpool spool(2, limit, &dir);
+    const int64_t n = 20000;
+    if (c.exact) spool.ReserveExact({n / 2, n / 2});
+    for (int64_t i = 0; i < n; ++i) {
+      MapOutputRecord rec;
+      rec.key = (i * 2654435761u) % 1000;
+      rec.tag = static_cast<int32_t>(i % 2);
+      rec.target = static_cast<int32_t>(i % 2);
+      rec.row = i;
+      rec.rec_id = i;
+      rec.bytes = 16;
+      spool.Append(rec.target, rec);
+      if (c.exact && i == n / 2) {
+        const int64_t charged = MemoryBudget::Global().in_use_bytes() - base;
+        EXPECT_GE(charged, (i + 1) * rec_bytes);
+        EXPECT_LE(charged, (i + 1 + 2 * 64) * rec_bytes);
       }
-      if (pass == 0) total += static_cast<int64_t>(got->records.size());
     }
-    spool.ReleaseTask(task);
+    ASSERT_TRUE(spool.status().ok()) << spool.status().ToString();
+    ASSERT_TRUE(spool.FinishWrites().ok());
+    if (c.exact) {
+      EXPECT_EQ(MemoryBudget::Global().in_use_bytes() - base, n * rec_bytes);
+    }
+    EXPECT_EQ(spool.spill_files(), limit > 0 ? 1 : 0);
+    EXPECT_EQ(spool.spill_bytes() > 0, limit > 0);
+    int64_t total = 0;
+    for (int task = 0; task < 2; ++task) {
+      std::vector<int64_t> first_pass_rows;
+      for (int pass = 0; pass < 2; ++pass) {
+        std::vector<MapOutputRecord> merged;
+        const auto got = spool.MaterializeTask(task, &merged);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        ASSERT_EQ(got->sorted, limit > 0);
+        std::vector<MapOutputRecord>& records = *got->records;
+        if (c.exact) {
+          EXPECT_EQ(records.capacity(), records.size());
+        }
+        if (!got->sorted) std::sort(records.begin(), records.end(), less);
+        ASSERT_TRUE(std::is_sorted(records.begin(), records.end(), less))
+            << "task " << task;
+        std::vector<int64_t> rows;
+        for (const MapOutputRecord& rec : records) rows.push_back(rec.row);
+        if (pass == 0) {
+          total += static_cast<int64_t>(records.size());
+          first_pass_rows = rows;
+        } else {
+          EXPECT_EQ(rows, first_pass_rows) << "task " << task;
+        }
+      }
+      spool.ReleaseTask(task);
+    }
+    EXPECT_EQ(total, n);
+    EXPECT_EQ(MemoryBudget::Global().in_use_bytes(), base);
   }
-  EXPECT_EQ(total, n);
 }
 
 // ---- Discrete-event engine ----
@@ -528,11 +564,15 @@ TEST(SimClusterTest, ComparisonCpuChargedOnlyWhenEnabled) {
 TEST(SimClusterTest, RunJobEndToEnd) {
   SimCluster cluster(ClusterConfig{});
   auto rel = MakeInts(1000, 4000000);  // represents ~100 MB
-  const auto result = cluster.RunJob(CountJob(rel, 8));
+  const MapReduceJobSpec spec = CountJob(rel, 8);
+  const auto result = RunJobPhysically(spec);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->output->num_rows(), 10);
-  EXPECT_GT(result->duration, 0);
-  EXPECT_GE(result->timing.finish, result->timing.maps_done);
+  const auto report = RunSimulation(
+      cluster.config(), {cluster.BuildSimJob(spec, result->metrics)});
+  ASSERT_TRUE(report.ok());
+  EXPECT_GT(report->makespan, 0);
+  EXPECT_GE(report->jobs[0].finish, report->jobs[0].maps_done);
 }
 
 // ---- Load model (Fig. 11) ----

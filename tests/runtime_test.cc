@@ -478,8 +478,7 @@ TEST(SpillDifferentialTest, CombinerComposesWithSpilling) {
   };
   spec.combine = MakeDedupCombiner();
   spec.reduce = [](const ReduceContext& ctx, ReduceCollector& out) {
-    out.Emit({Value(ctx.key),
-              Value(static_cast<int64_t>(ctx.records(0).size()))});
+    out.Emit({ctx.key, static_cast<int64_t>(ctx.records(0).size())});
   };
   const auto reference = RunJobPhysically(spec);
   ASSERT_TRUE(reference.ok());
@@ -539,6 +538,22 @@ TEST_F(RuntimeExecutorTest, ParallelPlanExecutionMatchesSequential) {
     Executor sequential(cluster_.get());
     const auto ref = sequential.Execute(q, *plan);
     ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+    // Every thread count runs the same runner, so the 1-thread result is
+    // no independent reference: anchor it to the nested-loop oracle.
+    const auto oracle =
+        NaiveMultiwayJoin(q.relations(), {0, 1, 2}, q.conditions());
+    ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+    const Relation sorted_ref = SortedByRows(*ref->result_ids);
+    ASSERT_EQ(sorted_ref.num_rows(), oracle->num_rows());
+    ASSERT_EQ(sorted_ref.schema().num_columns(),
+              oracle->schema().num_columns());
+    EXPECT_GT(oracle->num_rows(), 0);
+    for (int64_t r = 0; r < oracle->num_rows(); ++r) {
+      for (int c = 0; c < oracle->schema().num_columns(); ++c) {
+        EXPECT_EQ(sorted_ref.GetInt(r, c), oracle->GetInt(r, c))
+            << "row " << r << " column " << c;
+      }
+    }
     for (int threads : {2, 4, 8}) {
       ExecutorOptions options;
       options.num_threads = threads;
@@ -567,10 +582,8 @@ TEST_F(RuntimeExecutorTest, ParallelPlanExecutionMatchesSequential) {
 
 TEST_F(RuntimeExecutorTest, BudgetedExecutionMatchesUnbudgeted) {
   // ExecutorOptions::mem_budget_bytes = 1 puts every job of the plan under
-  // maximal spill pressure; simulated accounting and rows must not move.
-  // At one thread this also exercises the routing rule: budgeted plans run
-  // through the parallel runner (the only spill-capable one) even when
-  // num_threads == 1.
+  // maximal spill pressure; simulated accounting and rows must not move,
+  // at one thread as at four.
   const Query q = ChainQuery();
   Planner planner(cluster_.get(), params_);
   const auto plan = planner.Plan(q);
