@@ -63,7 +63,7 @@ Measured RunSorted(const JoinCondition& cond, const Relation& lrel,
   std::iota(rrows.begin(), rrows.end(), 0);
   Measured m;
   const int64_t t0 = NowNs();
-  SortJoinRowSets(cond, lrel, lrows, rrel, rrows,
+  SortJoinRowSets(CompiledPredicate::Compile(cond, lrel, rrel), lrows, rrows,
                   [&](int32_t, int32_t) { ++m.pairs; });
   m.wall_ns = NowNs() - t0;
   return m;

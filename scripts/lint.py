@@ -30,6 +30,11 @@ Rules (docs/STATIC_ANALYSIS.md):
                   production runner (RunJobParallel) against, and a
                   production caller would be a second execution path the
                   chaos, spill and tracing machinery never sees.
+  join-domain     src/exec/ must not call GetDouble( outside
+                  src/exec/join_side.cc (whose map-side filters compare a
+                  column against a double literal by design): join keys
+                  compare in CompiledPredicate's domain, and a double
+                  fetch of an int64 key loses every bit above 2^53.
   todo-tag        TODO comments must carry an issue tag — TODO(#123) —
                   anywhere in src/, tests/, examples/, bench/, scripts/.
                   Untracked TODOs rot.
@@ -62,6 +67,8 @@ MUTEX_EXEMPT = ("src/common/thread_annotations.h",
                 "src/common/thread_annotations.cc")
 REFERENCE_RUNNER_HOME = ("src/mapreduce/job_runner.h",
                          "src/mapreduce/job_runner.cc")
+JOIN_DOMAIN_DIR = "src/exec/"
+JOIN_DOMAIN_EXEMPT = ("src/exec/join_side.cc",)
 # The linter's own rule messages and self-test fixtures spell out the
 # banned patterns literally.
 TODO_EXEMPT = ("scripts/lint.py",)
@@ -73,6 +80,7 @@ RE_NAKED_MUTEX = re.compile(
     r"std::(?:mutex|condition_variable|lock_guard|unique_lock|scoped_lock)"
     r"(?![A-Za-z0-9_])")
 RE_REFERENCE_RUNNER = re.compile(r"(?<![A-Za-z0-9_])RunJobPhysically\b")
+RE_GET_DOUBLE = re.compile(r"(?<![A-Za-z0-9_])GetDouble\s*\(")
 RE_TODO = re.compile(r"\bTODO\b")
 RE_TODO_TAGGED = re.compile(r"\bTODO\(#\d+\)")
 
@@ -158,6 +166,13 @@ def lint_tree(root):
                                  "RunJobPhysically is the test reference; "
                                  "production code runs jobs through "
                                  "RunJobParallel"))
+            if (rel.startswith(JOIN_DOMAIN_DIR) and
+                    rel not in JOIN_DOMAIN_EXEMPT and
+                    RE_GET_DOUBLE.search(line)):
+                findings.append((rel, lineno, "join-domain",
+                                 "join keys compare in CompiledPredicate's "
+                                 "domain; a double fetch loses int64 bits "
+                                 "above 2^53"))
 
     seen = set()
     for rel in iter_files(root, TODO_RULE_DIRS,
@@ -219,6 +234,17 @@ SELF_TEST_CASES = [
      {(2, "reference-runner")}),
     ("src/mapreduce/job_runner.cc",
      'StatusOr<PhysicalJobResult> RunJobPhysically(const Spec& s);\n',
+     set()),
+    ("src/exec/range_join.cc",
+     '// GetDouble( in a comment is fine\n'
+     'double v = base.GetDouble(row, col);\n'  # line 2: join-domain
+     'double w = MyGetDouble(row);\n',
+     {(2, "join-domain")}),
+    ("src/exec/join_side.cc",
+     'bool f = r->GetDouble(row, col) < lit;\n',  # exempt file
+     set()),
+    ("src/stats/table_stats.cc",
+     'const double v = rel.GetDouble(r, c);\n',  # outside src/exec/
      set()),
     ("tests/todo_test.cc",
      '// TODO: untagged\n'            # line 1: todo-tag

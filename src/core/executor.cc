@@ -112,9 +112,6 @@ StatusOr<ExecutionResult> Executor::RunOn(ThreadPool& pool,
   ExecutionResult result;
   result.jobs.resize(num_jobs);
   std::vector<SimJobSpec> sim_jobs(num_jobs);
-  const KernelPolicy policy = options_.enable_specialized_kernels
-                                  ? KernelPolicy::kAuto
-                                  : KernelPolicy::kGenericOnly;
   // Thread budget: the pool owns num_threads - 1 workers; each in-flight
   // DAG job adds one coordinating thread that spends its time claiming
   // tasks inside ParallelFor (caller participation — the property that
@@ -196,7 +193,6 @@ StatusOr<ExecutionResult> Executor::RunOn(ThreadPool& pool,
         mw.conditions = query.ConditionsById(pj.thetas);
         mw.num_reduce_tasks = pj.num_reduce_tasks;
         mw.seed = seed + i * 7919;
-        mw.kernel_policy = policy;
         // kAuto defers to the planner's per-job skew flag; the builder
         // only ever sees on/off.
         const bool skew_on =
@@ -222,7 +218,6 @@ StatusOr<ExecutionResult> Executor::RunOn(ThreadPool& pool,
         pw.conditions = query.ConditionsById(pj.thetas);
         pw.num_reduce_tasks = pj.num_reduce_tasks;
         pw.seed = seed + i * 7919;
-        pw.kernel_policy = policy;
         pw.sort_kernel_min_pairs = options_.sort_kernel_min_pairs;
         pw.output_columns = pj.output_columns;
         spec = pj.kind == PlanJobKind::kEquiJoin ? BuildEquiJoinJob(pw)
@@ -239,7 +234,6 @@ StatusOr<ExecutionResult> Executor::RunOn(ThreadPool& pool,
         mg.right = sides[1];
         mg.base_relations = query.relations();
         mg.num_reduce_tasks = pj.num_reduce_tasks;
-        mg.kernel_policy = policy;
         mg.sort_kernel_min_pairs = options_.sort_kernel_min_pairs;
         mg.output_columns = pj.output_columns;
         spec = BuildMergeJob(mg);

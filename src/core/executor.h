@@ -93,10 +93,6 @@ struct ExecutionResult {
 /// Knobs controlling how plan jobs are lowered to physical kernels and
 /// scheduled onto the in-process runtime.
 struct ExecutorOptions {
-  /// When false, every join job runs the generic nested-loop kernel
-  /// regardless of condition shape — the differential baseline for the
-  /// specialized sort-based paths. Results must be identical either way.
-  bool enable_specialized_kernels = true;
   /// Per-reduce-group gate for the sort-based kernels: groups with fewer
   /// candidate pairs run the generic nested loop (sorting tiny groups
   /// costs more than it saves). Exposed here so benches can sweep it.

@@ -7,10 +7,11 @@
 #include <map>
 #include <set>
 #include <tuple>
+#include <type_traits>
 #include <unordered_map>
+#include <variant>
 
 #include "src/exec/theta_kernels.h"
-#include "src/relation/column_view.h"
 #include "src/stats/table_stats.h"
 
 namespace mrtheta {
@@ -112,27 +113,26 @@ DimensionGrouping ComputeDimensionGrouping(
 
 namespace {
 
-// One join condition bound to the job's inputs: type dispatch, covering
-// input positions and rid resolution fixed once at build time.
-struct HilbertBoundCondition {
-  JoinCondition cond;
-  CompiledPredicate pred;
-  int lhs_input = 0;  // input position covering the lhs / rhs endpoint
-  int rhs_input = 0;
-  const int64_t* lhs_rid = nullptr;  // input row -> base row (null = identity)
-  const int64_t* rhs_rid = nullptr;
+// The sorted-candidate rule: a numeric, non-<> condition between two
+// distinct inputs can key its deeper input's records and range-search them
+// against the shallower input's bound row.
+bool DrivesRange(const BoundCondition& bc) {
+  return bc.cond.op != ThetaOp::kNe && bc.lhs_input != bc.rhs_input &&
+         bc.pred.domain() != CompiledPredicate::Domain::kString;
+}
 
-  int64_t LhsBaseRow(int64_t row) const {
-    return lhs_rid != nullptr ? lhs_rid[row] : row;
+// One side's sort key of `bc` in the predicate's own domain, for `row` of
+// the input covering that side: (lhs + offset) op rhs == LhsKey op RhsKey.
+template <typename K>
+K SideKey(const BoundCondition& bc, bool lhs, int64_t row) {
+  if constexpr (std::is_same_v<K, int64_t>) {
+    return lhs ? bc.pred.LhsKeyInt(bc.LhsBaseRow(row))
+               : bc.pred.RhsKeyInt(bc.RhsBaseRow(row));
+  } else {
+    return lhs ? bc.pred.LhsKeyDouble(bc.LhsBaseRow(row))
+               : bc.pred.RhsKeyDouble(bc.RhsBaseRow(row));
   }
-  int64_t RhsBaseRow(int64_t row) const {
-    return rhs_rid != nullptr ? rhs_rid[row] : row;
-  }
-  // `lrow` / `rrow` are rows of the covering inputs.
-  bool Eval(int64_t lrow, int64_t rrow) const {
-    return pred.Eval(LhsBaseRow(lrow), RhsBaseRow(rrow));
-  }
-};
+}
 
 // Shared state captured by the map and reduce closures.
 struct HilbertJobState {
@@ -144,11 +144,11 @@ struct HilbertJobState {
   std::vector<double> scales = {};          // per input
   std::vector<RelationPtr> base_relations = {};
   std::vector<JoinSide> inputs = {};
-  std::vector<int> output_bases = {};
+  OutputRowLayout output;
   std::vector<int> dim_representative = {};  // dim -> lowest input index
   // conditions_at_depth[j] = conditions decidable once inputs 0..j are
   // assigned (and not before).
-  std::vector<std::vector<HilbertBoundCondition>> conditions_at_depth = {};
+  std::vector<std::vector<BoundCondition>> conditions_at_depth = {};
   uint64_t seed = 0;
   bool use_sorted_candidates = true;
   // ---- Skew handling (docs/SKEW.md) ----
@@ -210,9 +210,10 @@ struct HilbertJobState {
 };
 
 // Backtracking join over one component's records. At every depth with a
-// numeric band condition against an already-bound input, candidates are
-// pre-sorted on the condition's column so each recursion step scans only
-// the qualifying value range (binary search) instead of the whole list.
+// range-driving condition against an already-bound input (DrivesRange),
+// candidates are pre-sorted on the condition's key so each recursion step
+// scans only the qualifying key range (binary search) instead of the whole
+// list.
 class ComponentJoiner {
  public:
   ComponentJoiner(const HilbertJobState& state, const ReduceContext& ctx,
@@ -245,13 +246,17 @@ class ComponentJoiner {
   }
 
  private:
-  // One pre-sorted candidate list: records of a depth ordered by the value
-  // of `column` of the base relation covered by that input.
+  // A depth's records keyed in the range condition's domain, ascending.
+  template <typename K>
+  using Entries = std::vector<std::pair<K, const MapOutputRecord*>>;
+
+  // One depth's candidate list: unsorted (monostate: scan every record) or
+  // sorted on the current input's key of range condition `bc`.
   struct SortedCandidates {
-    bool active = false;
-    const HilbertBoundCondition* bc = nullptr;  // range condition, in state_
+    const BoundCondition* bc = nullptr;  // range condition, in state_
     bool current_is_lhs = false;
-    std::vector<std::pair<double, const MapOutputRecord*>> entries;
+    ThetaOp op = ThetaOp::kEq;  // current key `op` other key
+    std::variant<std::monostate, Entries<int64_t>, Entries<double>> entries;
   };
 
   void PrepareSortedCandidates() {
@@ -259,141 +264,108 @@ class ComponentJoiner {
     sorted_.resize(num_inputs);
     if (!state_.use_sorted_candidates) return;
     for (int d = 1; d < num_inputs; ++d) {
-      // Pick the first numeric non-<> condition at this depth whose other
-      // endpoint is bound earlier; it prunes by value range.
-      for (const HilbertBoundCondition& bc : state_.conditions_at_depth[d]) {
-        if (bc.cond.op == ThetaOp::kNe) continue;
-        if (bc.lhs_input == bc.rhs_input) continue;
-        const bool cur_is_lhs = bc.lhs_input == d;
-        const ColumnRef cur_ref = cur_is_lhs ? bc.cond.lhs : bc.cond.rhs;
-        const Relation& base = *state_.base_relations[cur_ref.relation];
-        const ValueType cur_type =
-            base.schema().column(cur_ref.column).type;
-        if (cur_type == ValueType::kString) continue;
-        SortedCandidates sc;
-        sc.active = true;
+      // The first range-driving condition at this depth prunes by key.
+      for (const BoundCondition& bc : state_.conditions_at_depth[d]) {
+        if (!DrivesRange(bc)) continue;
+        SortedCandidates& sc = sorted_[d];
         sc.bc = &bc;
-        sc.current_is_lhs = cur_is_lhs;
-        sc.entries.reserve(ctx_.records(d).size());
-        const int64_t* rid = cur_is_lhs ? bc.lhs_rid : bc.rhs_rid;
-        // Typed columnar extraction: the variant dispatch happens once per
-        // (depth, column), not once per record.
-        auto fill = [&](const auto& view) {
-          for (const MapOutputRecord* rec : ctx_.records(d)) {
-            const int64_t base_row =
-                rid != nullptr ? rid[rec->row] : rec->row;
-            sc.entries.emplace_back(static_cast<double>(view[base_row]),
-                                    rec);
-          }
-        };
-        if (cur_type == ValueType::kInt64) {
-          fill(ColumnView<int64_t>::Of(base, cur_ref.column));
+        sc.current_is_lhs = bc.lhs_input == d;
+        sc.op = sc.current_is_lhs ? bc.cond.op : FlipOp(bc.cond.op);
+        if (bc.pred.domain() == CompiledPredicate::Domain::kInt64) {
+          sc.entries = SortedEntries<int64_t>(d, sc);
         } else {
-          fill(ColumnView<double>::Of(base, cur_ref.column));
+          sc.entries = SortedEntries<double>(d, sc);
         }
-        std::sort(sc.entries.begin(), sc.entries.end(),
-                  [](const auto& a, const auto& b) {
-                    return a.first < b.first;
-                  });
-        sorted_[d] = std::move(sc);
         break;
       }
     }
   }
 
-  // Qualifying [lo, hi) index range in sorted_[depth] given the currently
-  // bound prefix. Condition form: (lhs + offset) op rhs.
-  std::pair<size_t, size_t> RangeFor(int depth) {
-    const SortedCandidates& sc = sorted_[depth];
-    const JoinCondition& cond = sc.bc->cond;
-    const ColumnRef other_ref = sc.current_is_lhs ? cond.rhs : cond.lhs;
-    const int other_pos =
-        sc.current_is_lhs ? sc.bc->rhs_input : sc.bc->lhs_input;
-    const int64_t* other_rid =
-        sc.current_is_lhs ? sc.bc->rhs_rid : sc.bc->lhs_rid;
-    const Relation& other_base = *state_.base_relations[other_ref.relation];
-    const int64_t other_base_row = other_rid != nullptr
-                                       ? other_rid[rows_[other_pos]]
-                                       : rows_[other_pos];
-    const double other_val =
-        other_base.GetDouble(other_base_row, other_ref.column);
-    const auto& e = sc.entries;
-    auto lower = [&](double v) {
+  template <typename K>
+  Entries<K> SortedEntries(int depth, const SortedCandidates& sc) const {
+    Entries<K> e;
+    e.reserve(ctx_.records(depth).size());
+    for (const MapOutputRecord* rec : ctx_.records(depth)) {
+      e.emplace_back(SideKey<K>(*sc.bc, sc.current_is_lhs, rec->row), rec);
+    }
+    std::sort(e.begin(), e.end(), [](const auto& a, const auto& b) {
+      return a.first < b.first;
+    });
+    return e;
+  }
+
+  // Qualifying [lo, hi) index range of `e` given the currently bound
+  // prefix: the entries whose key k satisfies `k sc.op other_key`.
+  template <typename K>
+  std::pair<size_t, size_t> RangeFor(const SortedCandidates& sc,
+                                     const Entries<K>& e) const {
+    const BoundCondition& bc = *sc.bc;
+    const K other = SideKey<K>(
+        bc, !sc.current_is_lhs,
+        rows_[sc.current_is_lhs ? bc.rhs_input : bc.lhs_input]);
+    auto lower = [&] {
       return static_cast<size_t>(
-          std::lower_bound(e.begin(), e.end(), v,
-                           [](const auto& a, double x) {
-                             return a.first < x;
-                           }) -
+          std::lower_bound(e.begin(), e.end(), other,
+                           [](const auto& a, K x) { return a.first < x; }) -
           e.begin());
     };
-    auto upper = [&](double v) {
+    auto upper = [&] {
       return static_cast<size_t>(
-          std::upper_bound(e.begin(), e.end(), v,
-                           [](double x, const auto& a) {
-                             return x < a.first;
-                           }) -
+          std::upper_bound(e.begin(), e.end(), other,
+                           [](K x, const auto& a) { return x < a.first; }) -
           e.begin());
     };
-    // Solve for the current column value `cur`.
-    if (sc.current_is_lhs) {
-      // (cur + off) op other_val  =>  cur op (other_val - off)
-      const double bound = other_val - cond.offset;
-      switch (cond.op) {
-        case ThetaOp::kLt:
-          return {0, lower(bound)};
-        case ThetaOp::kLe:
-          return {0, upper(bound)};
-        case ThetaOp::kGt:
-          return {upper(bound), e.size()};
-        case ThetaOp::kGe:
-          return {lower(bound), e.size()};
-        case ThetaOp::kEq:
-          return {lower(bound), upper(bound)};
-        case ThetaOp::kNe:
-          break;
-      }
-    } else {
-      // (other_val + off) op cur
-      const double bound = other_val + cond.offset;
-      switch (cond.op) {
-        case ThetaOp::kLt:  // bound < cur
-          return {upper(bound), e.size()};
-        case ThetaOp::kLe:
-          return {lower(bound), e.size()};
-        case ThetaOp::kGt:  // bound > cur
-          return {0, lower(bound)};
-        case ThetaOp::kGe:
-          return {0, upper(bound)};
-        case ThetaOp::kEq:
-          return {lower(bound), upper(bound)};
-        case ThetaOp::kNe:
-          break;
-      }
+    switch (sc.op) {
+      case ThetaOp::kLt:
+        return {0, lower()};
+      case ThetaOp::kLe:
+        return {0, upper()};
+      case ThetaOp::kGt:
+        return {upper(), e.size()};
+      case ThetaOp::kGe:
+        return {lower(), e.size()};
+      case ThetaOp::kEq:
+        return {lower(), upper()};
+      case ThetaOp::kNe:  // never drives a range (DrivesRange)
+        break;
     }
     return {0, e.size()};
   }
 
   void Recurse(int depth) {
-    const int num_inputs = static_cast<int>(state_.inputs.size());
-    const bool use_sorted = depth > 0 && sorted_[depth].active;
-    size_t lo = 0;
-    size_t hi = use_sorted ? sorted_[depth].entries.size()
-                           : ctx_.records(depth).size();
-    if (use_sorted) {
-      const auto range = RangeFor(depth);
-      lo = range.first;
-      hi = range.second;
+    const SortedCandidates& sc = sorted_[depth];
+    if (const auto* e = std::get_if<Entries<int64_t>>(&sc.entries)) {
+      Scan(depth, *e, RangeFor(sc, *e));
+    } else if (const auto* e = std::get_if<Entries<double>>(&sc.entries)) {
+      Scan(depth, *e, RangeFor(sc, *e));
+    } else {
+      Scan(depth, ctx_.records(depth), {0, ctx_.records(depth).size()});
     }
-    for (size_t i = lo; i < hi; ++i) {
-      const MapOutputRecord* rec = use_sorted
-                                       ? sorted_[depth].entries[i].second
-                                       : ctx_.records(depth)[i];
+  }
+
+  static const MapOutputRecord* RecordOf(const MapOutputRecord* rec) {
+    return rec;
+  }
+  template <typename K>
+  static const MapOutputRecord* RecordOf(
+      const std::pair<K, const MapOutputRecord*>& entry) {
+    return entry.second;
+  }
+
+  // Binds each candidate in `range` at `depth`; recurses on success, or
+  // emits the completed combination at the last depth when this task owns
+  // its cell.
+  template <typename Candidates>
+  void Scan(int depth, const Candidates& candidates,
+            std::pair<size_t, size_t> range) {
+    const int num_inputs = static_cast<int>(state_.inputs.size());
+    for (size_t i = range.first; i < range.second; ++i) {
+      const MapOutputRecord* rec = RecordOf(candidates[i]);
       depth_checks_[depth] += 1.0;
       rows_[depth] = rec->row;
       slices_[depth] = static_cast<uint32_t>(rec->rec_id);
       bool pass = true;
-      for (const HilbertBoundCondition& bc :
-           state_.conditions_at_depth[depth]) {
+      for (const BoundCondition& bc : state_.conditions_at_depth[depth]) {
         if (!bc.Eval(rows_[bc.lhs_input], rows_[bc.rhs_input])) {
           pass = false;
           break;
@@ -405,16 +377,8 @@ class ComponentJoiner {
         continue;
       }
       if (!heavy_ && !OwnsCell()) continue;
-      EmitRow();
+      state_.output.Emit(rows_, row_, out_);
     }
-  }
-
-  int InputCovering(int base) const {
-    for (int i = 0; i < static_cast<int>(state_.inputs.size()); ++i) {
-      if (state_.inputs[i].Covers(base)) return i;
-    }
-    MRTHETA_CHECK(false && "condition references uncovered base");
-    return 0;
   }
 
   // Exactly-once ownership: the combination's cell must lie in this
@@ -430,16 +394,6 @@ class ComponentJoiner {
         state_.curve.Encode(std::span<const uint32_t>(coords, dims));
     return state_.coverage->SegmentOfIndex(idx) ==
            static_cast<int>(ctx_.key);
-  }
-
-  void EmitRow() {
-    std::vector<int64_t> row;
-    row.reserve(state_.output_bases.size());
-    for (int base : state_.output_bases) {
-      const int pos = InputCovering(base);
-      row.push_back(state_.inputs[pos].BaseRow(rows_[pos], base));
-    }
-    out_.Emit(row);
   }
 
   void ChargeComparisons() {
@@ -460,6 +414,7 @@ class ComponentJoiner {
   std::vector<uint32_t> slices_;
   std::vector<double> depth_checks_;
   std::vector<SortedCandidates> sorted_;
+  std::vector<int64_t> row_;  // output row buffer
 };
 
 }  // namespace
@@ -638,6 +593,7 @@ StatusOr<MapReduceJobSpec> BuildHilbertJoinJob(const MultiwayJoinJobSpec& spec,
       .grouping = grouping,
       .base_relations = spec.base_relations,
       .inputs = spec.inputs,
+      .output = OutputRowLayout(spec.inputs),
       .seed = spec.seed,
       .use_sorted_candidates = spec.kernel_policy == KernelPolicy::kAuto});
 
@@ -685,56 +641,20 @@ StatusOr<MapReduceJobSpec> BuildHilbertJoinJob(const MultiwayJoinJobSpec& spec,
     if (state->dim_representative[d] < 0) state->dim_representative[d] = i;
   }
 
-  // Output bases: ascending union of input coverage.
-  std::set<int> base_set;
-  for (const JoinSide& side : spec.inputs) {
-    base_set.insert(side.bases.begin(), side.bases.end());
-  }
-  state->output_bases.assign(base_set.begin(), base_set.end());
-
   // Bucket conditions by the deepest input they touch, binding type
-  // dispatch and row resolution once per condition.
+  // dispatch and row resolution once per condition. The job is a
+  // sort-theta job only when some condition can drive a sorted candidate
+  // list; otherwise it reports the generic backtracking loop.
   state->conditions_at_depth.resize(num_inputs);
+  bool any_range = false;
   for (const JoinCondition& cond : spec.conditions) {
-    HilbertBoundCondition bc;
-    bc.cond = cond;
-    bc.pred = CompiledPredicate::Compile(
-        cond, *spec.base_relations[cond.lhs.relation],
-        *spec.base_relations[cond.rhs.relation]);
-    int depth = 0;
-    for (int i = 0; i < num_inputs; ++i) {
-      if (spec.inputs[i].Covers(cond.lhs.relation)) bc.lhs_input = i;
-      if (spec.inputs[i].Covers(cond.rhs.relation)) bc.rhs_input = i;
-    }
-    depth = std::max(bc.lhs_input, bc.rhs_input);
-    bc.lhs_rid = RidColumnFor(spec.inputs[bc.lhs_input], cond.lhs.relation);
-    bc.rhs_rid = RidColumnFor(spec.inputs[bc.rhs_input], cond.rhs.relation);
-    state->conditions_at_depth[depth].push_back(bc);
+    BoundCondition bc =
+        BoundCondition::Bind(cond, spec.inputs, spec.base_relations);
+    any_range = any_range || DrivesRange(bc);
+    state->conditions_at_depth[std::max(bc.lhs_input, bc.rhs_input)]
+        .push_back(std::move(bc));
   }
-
-  // The job is only a sort-theta job when some depth can actually activate
-  // a sorted candidate list (same qualification PrepareSortedCandidates
-  // applies: numeric, non-<>, endpoints on distinct inputs, one bound
-  // earlier); otherwise report the generic backtracking loop.
-  if (state->use_sorted_candidates) {
-    bool any_sorted = false;
-    for (int d = 1; d < num_inputs && !any_sorted; ++d) {
-      for (const HilbertBoundCondition& bc : state->conditions_at_depth[d]) {
-        if (bc.cond.op == ThetaOp::kNe) continue;
-        if (bc.lhs_input == bc.rhs_input) continue;
-        const ColumnRef cur = bc.lhs_input == d ? bc.cond.lhs : bc.cond.rhs;
-        if (spec.base_relations[cur.relation]
-                ->schema()
-                .column(cur.column)
-                .type == ValueType::kString) {
-          continue;
-        }
-        any_sorted = true;
-        break;
-      }
-    }
-    state->use_sorted_candidates = any_sorted;
-  }
+  state->use_sorted_candidates = state->use_sorted_candidates && any_range;
 
   MapReduceJobSpec job;
   job.name = spec.name;
@@ -746,7 +666,7 @@ StatusOr<MapReduceJobSpec> BuildHilbertJoinJob(const MultiwayJoinJobSpec& spec,
     return static_cast<int>(key % n);
   };
   job.output_schema = MakeIntermediateSchema(
-      state->output_bases, spec.base_relations, spec.output_columns);
+      state->output.bases(), spec.base_relations, spec.output_columns);
   job.output_name = spec.name + ".out";
   job.kernel = JoinKernelName(state->use_sorted_candidates
                                   ? JoinKernel::kSortTheta
@@ -831,7 +751,7 @@ StatusOr<MapReduceJobSpec> BuildHilbertJoinJob(const MultiwayJoinJobSpec& spec,
     info->effective_reduce_tasks = kr + skew.heavy_tasks;
     info->coverage = state->coverage;
     info->grouping = state->grouping;
-    info->output_bases = state->output_bases;
+    info->output_bases = state->output.bases();
     info->skew = skew;
     info->skew_dim = skew_dim;
   }

@@ -148,6 +148,41 @@ const int64_t* RidColumnFor(const JoinSide& side, int base) {
       ->data();
 }
 
+BoundCondition BoundCondition::Bind(
+    const JoinCondition& cond, const std::vector<JoinSide>& inputs,
+    const std::vector<RelationPtr>& base_relations) {
+  auto covering = [&](int base) {
+    for (int i = 0; i < static_cast<int>(inputs.size()); ++i) {
+      if (inputs[i].Covers(base)) return i;
+    }
+    MRTHETA_CHECK(false && "condition references an uncovered base");
+    return 0;
+  };
+  BoundCondition bc;
+  bc.cond = cond;
+  bc.pred = CompiledPredicate::Compile(cond,
+                                       *base_relations[cond.lhs.relation],
+                                       *base_relations[cond.rhs.relation]);
+  bc.lhs_input = covering(cond.lhs.relation);
+  bc.rhs_input = covering(cond.rhs.relation);
+  bc.lhs_rid = RidColumnFor(inputs[bc.lhs_input], cond.lhs.relation);
+  bc.rhs_rid = RidColumnFor(inputs[bc.rhs_input], cond.rhs.relation);
+  return bc;
+}
+
+OutputRowLayout::OutputRowLayout(const std::vector<JoinSide>& inputs) {
+  for (const JoinSide& side : inputs) {
+    bases_.insert(bases_.end(), side.bases.begin(), side.bases.end());
+  }
+  std::sort(bases_.begin(), bases_.end());
+  bases_.erase(std::unique(bases_.begin(), bases_.end()), bases_.end());
+  for (int base : bases_) {
+    int input = 0;
+    while (!inputs[input].Covers(base)) ++input;
+    slots_.push_back({input, RidColumnFor(inputs[input], base)});
+  }
+}
+
 StatusOr<Relation> ProjectResult(
     const Relation& intermediate, const std::vector<int>& covered_bases,
     const std::vector<RelationPtr>& base_relations,

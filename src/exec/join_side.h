@@ -4,9 +4,12 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "src/common/status.h"
+#include "src/mapreduce/job.h"
+#include "src/relation/column_view.h"
 #include "src/relation/predicate.h"
 #include "src/relation/relation.h"
 
@@ -105,6 +108,67 @@ int64_t SideShuffleBytes(const JoinSide& side,
 /// the per-call search of JoinSide::BaseRow; `side.data` must outlive the
 /// pointer.
 const int64_t* RidColumnFor(const JoinSide& side, int base);
+
+/// \brief One join condition bound to a job's inputs: the compiled
+/// predicate plus, per endpoint, the input covering the endpoint's base and
+/// that input's rid column — all resolved once per job.
+struct BoundCondition {
+  JoinCondition cond;
+  CompiledPredicate pred;
+  int lhs_input = 0;  ///< input position covering the lhs / rhs endpoint
+  int rhs_input = 0;
+  const int64_t* lhs_rid = nullptr;  ///< input row -> base row (null = same)
+  const int64_t* rhs_rid = nullptr;
+
+  /// Binds each endpoint of `cond` to the first of `inputs` covering its
+  /// base (one must).
+  static BoundCondition Bind(const JoinCondition& cond,
+                             const std::vector<JoinSide>& inputs,
+                             const std::vector<RelationPtr>& base_relations);
+
+  int64_t LhsBaseRow(int64_t row) const {
+    return lhs_rid != nullptr ? lhs_rid[row] : row;
+  }
+  int64_t RhsBaseRow(int64_t row) const {
+    return rhs_rid != nullptr ? rhs_rid[row] : row;
+  }
+  /// `lrow` / `rrow` are rows of the inputs covering the lhs / rhs.
+  bool Eval(int64_t lrow, int64_t rrow) const {
+    return pred.Eval(LhsBaseRow(lrow), RhsBaseRow(rrow));
+  }
+};
+
+/// \brief The rid row a join job emits per result: one rid per base its
+/// inputs cover, in ascending base order. The input covering each base
+/// (the first one, when several do) and its rid column are resolved once
+/// per job, so emitting a row is one array read per column.
+class OutputRowLayout {
+ public:
+  explicit OutputRowLayout(const std::vector<JoinSide>& inputs);
+
+  /// The covered bases, ascending: the job's intermediate-schema order.
+  const std::vector<int>& bases() const { return bases_; }
+
+  /// Emits the result combining row `input_rows[i]` of each input i,
+  /// assembled in `row` — a buffer the caller reuses across a reduce call.
+  void Emit(std::span<const int64_t> input_rows, std::vector<int64_t>& row,
+            ReduceCollector& out) const {
+    row.resize(slots_.size());
+    for (size_t k = 0; k < slots_.size(); ++k) {
+      const int64_t r = input_rows[slots_[k].input];
+      row[k] = slots_[k].rid != nullptr ? slots_[k].rid[r] : r;
+    }
+    out.Emit(row);
+  }
+
+ private:
+  struct Slot {
+    int input = 0;
+    const int64_t* rid = nullptr;  ///< null = the input is the base itself
+  };
+  std::vector<int> bases_;
+  std::vector<Slot> slots_;
+};
 
 /// Projects an intermediate result to output columns: for each
 /// (base, column) pair, emits the referenced base value. The intermediate

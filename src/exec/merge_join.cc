@@ -1,9 +1,8 @@
 #include "src/exec/merge_join.h"
 
 #include <algorithm>
-#include <cassert>
+#include <array>
 #include <memory>
-#include <set>
 
 #include "src/exec/theta_kernels.h"
 
@@ -26,9 +25,9 @@ struct MergeState {
   std::vector<int> shared;
   // Columnar rid views of the shared bases, one per side (aligned with
   // `shared`); resolved once per job instead of once per record.
-  std::vector<const int64_t*> left_rids;
-  std::vector<const int64_t*> right_rids;
-  std::vector<int> output_bases;
+  std::vector<const int64_t*> left_rids = {};
+  std::vector<const int64_t*> right_rids = {};
+  OutputRowLayout output;
   int64_t left_bytes = 0;
   int64_t right_bytes = 0;
   KernelPolicy kernel_policy = KernelPolicy::kAuto;
@@ -65,21 +64,15 @@ struct MergeState {
     return true;
   }
 
-  void EmitPair(int64_t lrow, int64_t rrow, ReduceCollector& out) const {
-    std::vector<int64_t> row;
-    row.reserve(output_bases.size());
-    for (int base : output_bases) {
-      row.push_back(left.Covers(base) ? left.BaseRow(lrow, base)
-                                      : right.BaseRow(rrow, base));
-    }
-    out.Emit(row);
-  }
-
   void JoinGroup(const std::vector<const MapOutputRecord*>& lrecs,
                  const std::vector<const MapOutputRecord*>& rrecs,
                  ReduceCollector& out) const {
     const int64_t pairs = static_cast<int64_t>(lrecs.size()) *
                           static_cast<int64_t>(rrecs.size());
+    std::vector<int64_t> row;
+    auto emit = [&](int64_t lrow, int64_t rrow) {
+      output.Emit(std::array{lrow, rrow}, row, out);
+    };
     if (kernel_policy == KernelPolicy::kAuto && pairs >= sort_kernel_min_pairs) {
       // Hash-key collisions made this group large: sort-merge on the first
       // shared rid, verify the rest per candidate.
@@ -96,16 +89,13 @@ struct MergeState {
                       [&](int32_t lpos, int32_t rpos) {
                         const int64_t lrow = lrecs[lpos]->row;
                         const int64_t rrow = rrecs[rpos]->row;
-                        if (TailRidsMatch(lrow, rrow)) {
-                          EmitPair(lrow, rrow, out);
-                        }
+                        if (TailRidsMatch(lrow, rrow)) emit(lrow, rrow);
                       });
       return;
     }
     for (const MapOutputRecord* lrec : lrecs) {
       for (const MapOutputRecord* rrec : rrecs) {
-        if (!RidsMatch(lrec->row, rrec->row)) continue;
-        EmitPair(lrec->row, rrec->row, out);
+        if (RidsMatch(lrec->row, rrec->row)) emit(lrec->row, rrec->row);
       }
     }
   }
@@ -117,12 +107,13 @@ StatusOr<MapReduceJobSpec> BuildMergeJob(const MergeJobSpec& spec) {
   if (spec.num_reduce_tasks < 1) {
     return Status::InvalidArgument("num_reduce_tasks must be >= 1");
   }
-  auto state = std::make_shared<MergeState>();
-  state->left = spec.left;
-  state->right = spec.right;
-  state->kernel_policy = spec.kernel_policy;
-  state->sort_kernel_min_pairs = spec.sort_kernel_min_pairs;
-  state->shared = SharedBases(spec.left, spec.right);
+  auto state = std::make_shared<MergeState>(MergeState{
+      .left = spec.left,
+      .right = spec.right,
+      .shared = SharedBases(spec.left, spec.right),
+      .output = OutputRowLayout({spec.left, spec.right}),
+      .kernel_policy = spec.kernel_policy,
+      .sort_kernel_min_pairs = spec.sort_kernel_min_pairs});
   if (state->shared.empty()) {
     return Status::FailedPrecondition(
         "merge requires the sides to share at least one relation");
@@ -131,9 +122,6 @@ StatusOr<MapReduceJobSpec> BuildMergeJob(const MergeJobSpec& spec) {
     state->left_rids.push_back(RidColumnFor(spec.left, base));
     state->right_rids.push_back(RidColumnFor(spec.right, base));
   }
-  std::set<int> bases(spec.left.bases.begin(), spec.left.bases.end());
-  bases.insert(spec.right.bases.begin(), spec.right.bases.end());
-  state->output_bases.assign(bases.begin(), bases.end());
   // Merge inputs ship only record IDs: 8 bytes per covered relation.
   state->left_bytes = 8 * static_cast<int64_t>(spec.left.bases.size());
   state->right_bytes = 8 * static_cast<int64_t>(spec.right.bases.size());
@@ -144,7 +132,7 @@ StatusOr<MapReduceJobSpec> BuildMergeJob(const MergeJobSpec& spec) {
   job.inputs.push_back({spec.right.data, spec.right.scale});
   job.num_reduce_tasks = spec.num_reduce_tasks;
   job.output_schema = MakeIntermediateSchema(
-      state->output_bases, spec.base_relations, spec.output_columns);
+      state->output.bases(), spec.base_relations, spec.output_columns);
   job.output_name = spec.name + ".out";
   // A merged row pairs one left row with one right row agreeing on the
   // shared rids; in expectation the logical count scales like an equi-join

@@ -22,11 +22,8 @@ StatusOr<Relation> NaiveMultiwayJoin(
   // Conditions checkable once the first (j+1) relations are bound, with
   // type dispatch resolved once per condition instead of once per pair.
   const int m = static_cast<int>(sorted_bases.size());
-  struct BoundCondition {
-    CompiledPredicate pred;
-    int lhs_pos;  // depth of the input binding the lhs / rhs endpoint
-    int rhs_pos;
-  };
+  // Each condition's input positions are the depths binding its lhs / rhs
+  // endpoints; base relations need no rid resolution.
   std::vector<std::vector<BoundCondition>> at_depth(m);
   auto pos_of = [&](int base) {
     for (int i = 0; i < m; ++i) {
@@ -41,10 +38,13 @@ StatusOr<Relation> NaiveMultiwayJoin(
       return Status::InvalidArgument("condition " + cond.ToString() +
                                      " references a relation not joined");
     }
-    at_depth[std::max(pl, pr)].push_back(
-        {CompiledPredicate::Compile(cond, *base_relations[cond.lhs.relation],
-                                    *base_relations[cond.rhs.relation]),
-         pl, pr});
+    at_depth[std::max(pl, pr)].push_back(BoundCondition{
+        .cond = cond,
+        .pred = CompiledPredicate::Compile(
+            cond, *base_relations[cond.lhs.relation],
+            *base_relations[cond.rhs.relation]),
+        .lhs_input = pl,
+        .rhs_input = pr});
   }
 
   Relation result("naive.out",
@@ -66,7 +66,7 @@ StatusOr<Relation> NaiveMultiwayJoin(
       return false;
     }
     for (const BoundCondition& bc : at_depth[depth]) {
-      if (!bc.pred.Eval(assignment[bc.lhs_pos], assignment[bc.rhs_pos])) {
+      if (!bc.Eval(assignment[bc.lhs_input], assignment[bc.rhs_input])) {
         return false;
       }
     }

@@ -1,11 +1,10 @@
 #include "src/exec/pairwise_join.h"
 
 #include <algorithm>
-#include <cassert>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <memory>
-#include <set>
 
 namespace mrtheta {
 
@@ -13,33 +12,16 @@ namespace {
 
 // State shared by both pairwise variants.
 struct PairwiseState {
-  // One condition, oriented so its lhs endpoint is covered by the left
-  // side, with type dispatch and row resolution bound once per job.
-  struct BoundCondition {
-    JoinCondition cond;
-    CompiledPredicate pred;
-    const int64_t* lhs_rid = nullptr;  // left row -> lhs base row
-    const int64_t* rhs_rid = nullptr;  // right row -> rhs base row
-
-    int64_t LhsBaseRow(int64_t lrow) const {
-      return lhs_rid != nullptr ? lhs_rid[lrow] : lrow;
-    }
-    int64_t RhsBaseRow(int64_t rrow) const {
-      return rhs_rid != nullptr ? rhs_rid[rrow] : rrow;
-    }
-    bool Eval(int64_t lrow, int64_t rrow) const {
-      return pred.Eval(LhsBaseRow(lrow), RhsBaseRow(rrow));
-    }
-  };
-
   JoinSide left;
   JoinSide right;
   std::vector<RelationPtr> base_relations;
-  std::vector<BoundCondition> bound;
+  /// Conditions bound to inputs {left, right}, each oriented so its lhs
+  /// endpoint is covered by the left side.
+  std::vector<BoundCondition> bound = {};
   /// Index into `bound` of the sort-kernel driver, -1 => generic loop.
   int sort_driver = -1;
   int64_t sort_kernel_min_pairs = kSortKernelMinPairs;
-  std::vector<int> output_bases;
+  OutputRowLayout output;
   int64_t left_bytes = 0;
   int64_t right_bytes = 0;
 
@@ -60,16 +42,6 @@ struct PairwiseState {
     return true;
   }
 
-  void EmitPair(int64_t lrow, int64_t rrow, ReduceCollector& out) const {
-    std::vector<int64_t> row;
-    row.reserve(output_bases.size());
-    for (int base : output_bases) {
-      row.push_back(left.Covers(base) ? left.BaseRow(lrow, base)
-                                      : right.BaseRow(rrow, base));
-    }
-    out.Emit(row);
-  }
-
   // Joins one reduce group, dispatching between the sort-based kernel and
   // the generic nested loop. AddComparisons charging is kernel-independent:
   // the simulated cluster's CPU model prices the |L|x|R| work a real
@@ -79,6 +51,10 @@ struct PairwiseState {
                  ReduceCollector& out) const {
     const int64_t pairs = static_cast<int64_t>(lrecs.size()) *
                           static_cast<int64_t>(rrecs.size());
+    std::vector<int64_t> row;
+    auto emit = [&](int64_t lrow, int64_t rrow) {
+      output.Emit(std::array{lrow, rrow}, row, out);
+    };
     if (sort_driver >= 0 && pairs >= sort_kernel_min_pairs) {
       const BoundCondition& drv = bound[sort_driver];
       std::vector<int64_t> lrows, rrows;
@@ -90,22 +66,16 @@ struct PairwiseState {
       for (const MapOutputRecord* r : rrecs) {
         rrows.push_back(drv.RhsBaseRow(r->row));
       }
-      SortJoinRowSets(drv.cond, *base_relations[drv.cond.lhs.relation],
-                      lrows, *base_relations[drv.cond.rhs.relation], rrows,
-                      [&](int32_t lpos, int32_t rpos) {
-                        const int64_t lrow = lrecs[lpos]->row;
-                        const int64_t rrow = rrecs[rpos]->row;
-                        if (MatchesResidual(lrow, rrow)) {
-                          EmitPair(lrow, rrow, out);
-                        }
-                      });
+      SortJoinRowSets(drv.pred, lrows, rrows, [&](int32_t lpos, int32_t rpos) {
+        const int64_t lrow = lrecs[lpos]->row;
+        const int64_t rrow = rrecs[rpos]->row;
+        if (MatchesResidual(lrow, rrow)) emit(lrow, rrow);
+      });
       return;
     }
     for (const MapOutputRecord* l : lrecs) {
       for (const MapOutputRecord* r : rrecs) {
-        if (Matches(l->row, r->row)) {
-          EmitPair(l->row, r->row, out);
-        }
+        if (Matches(l->row, r->row)) emit(l->row, r->row);
       }
     }
   }
@@ -123,11 +93,13 @@ StatusOr<std::shared_ptr<PairwiseState>> MakeState(
                                      " does not connect the two sides");
     }
   }
-  auto state = std::make_shared<PairwiseState>();
-  state->left = spec.left;
-  state->right = spec.right;
-  state->base_relations = spec.base_relations;
-  state->sort_kernel_min_pairs = spec.sort_kernel_min_pairs;
+  const std::vector<JoinSide> sides = {spec.left, spec.right};
+  auto state = std::make_shared<PairwiseState>(PairwiseState{
+      .left = spec.left,
+      .right = spec.right,
+      .base_relations = spec.base_relations,
+      .sort_kernel_min_pairs = spec.sort_kernel_min_pairs,
+      .output = OutputRowLayout(sides)});
   std::vector<JoinCondition> oriented;
   oriented.reserve(spec.conditions.size());
   for (const JoinCondition& cond : spec.conditions) {
@@ -135,22 +107,13 @@ StatusOr<std::shared_ptr<PairwiseState>> MakeState(
         spec.left.Covers(cond.lhs.relation) ? cond
                                             : cond.OrientedFor(
                                                   cond.rhs.relation);
-    PairwiseState::BoundCondition bc;
-    bc.cond = oc;
-    bc.pred = CompiledPredicate::Compile(
-        oc, *spec.base_relations[oc.lhs.relation],
-        *spec.base_relations[oc.rhs.relation]);
-    bc.lhs_rid = RidColumnFor(spec.left, oc.lhs.relation);
-    bc.rhs_rid = RidColumnFor(spec.right, oc.rhs.relation);
-    state->bound.push_back(bc);
+    state->bound.push_back(
+        BoundCondition::Bind(oc, sides, spec.base_relations));
     oriented.push_back(oc);
   }
   if (spec.kernel_policy == KernelPolicy::kAuto) {
-    state->sort_driver = ChooseSortDriver(oriented, spec.base_relations);
+    state->sort_driver = ChooseSortDriver(oriented);
   }
-  std::set<int> bases(spec.left.bases.begin(), spec.left.bases.end());
-  bases.insert(spec.right.bases.begin(), spec.right.bases.end());
-  state->output_bases.assign(bases.begin(), bases.end());
   state->left_bytes = SideShuffleBytes(spec.left, spec.conditions,
                                        spec.output_columns,
                                        spec.base_relations);
@@ -168,7 +131,7 @@ MapReduceJobSpec MakeJobShell(const PairwiseJoinJobSpec& spec,
   job.inputs.push_back({spec.right.data, spec.right.scale});
   job.num_reduce_tasks = spec.num_reduce_tasks;
   job.output_schema = MakeIntermediateSchema(
-      state.output_bases, spec.base_relations, spec.output_columns);
+      state.output.bases(), spec.base_relations, spec.output_columns);
   job.output_name = spec.name + ".out";
   // β-extrapolation (the paper's Eq. 5 output model): results scale
   // *linearly* with the represented data volume; the physical sample fixes

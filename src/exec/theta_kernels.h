@@ -29,27 +29,14 @@ enum class KernelPolicy {
   kGenericOnly,
 };
 
-/// The typed domain a condition's operand columns share — decides whether
-/// the sort kernel applies and which key type it sorts.
-enum class SortKeyDomain {
-  kNone,    ///< no typed domain (should not occur for valid conditions)
-  kInt64,   ///< int64 vs int64 with an integral offset
-  kDouble,  ///< any other numeric pairing
-  kString,  ///< string vs string, offset-free
-};
-
-SortKeyDomain ClassifySortKey(const JoinCondition& cond,
-                              const Relation& lhs_rel,
-                              const Relation& rhs_rel);
-
 /// Index into `conditions` of the condition that should drive the
-/// sort-based kernel, or -1 when none qualifies. A condition qualifies when
-/// its operands share a typed sort domain and its operator is not `<>`
-/// (whose candidate set is nearly the full cross product, so sorting buys
-/// nothing). Inequalities are preferred over equalities: range pruning is
-/// where the sort path beats hashing.
-int ChooseSortDriver(const std::vector<JoinCondition>& conditions,
-                     const std::vector<RelationPtr>& base_relations);
+/// sort-based kernel, or -1 when none qualifies. Every condition except `<>`
+/// qualifies (a `<>` candidate set is nearly the full cross product, so
+/// sorting buys nothing); the key domain is CompiledPredicate's, which
+/// covers every condition a validated query holds. Inequalities are
+/// preferred over equalities: range pruning is where the sort path beats
+/// hashing.
+int ChooseSortDriver(const std::vector<JoinCondition>& conditions);
 
 /// Default for the per-job sort-kernel gate: below this many candidate
 /// pairs the generic nested loop is used even when a sort driver exists
@@ -160,22 +147,16 @@ void SortedThetaScan(std::vector<std::pair<K, int32_t>>& left, ThetaOp op,
   }
 }
 
-/// \brief Joins two row sets under one condition via the sort-based kernel.
+/// \brief Joins two row sets under one compiled condition via the
+/// sort-based kernel, keyed in the predicate's own comparison domain.
 ///
 /// `lrows` / `rrows` are row indices into the relations holding the
 /// condition's lhs / rhs columns; `emit(lpos, rpos)` receives positions
-/// into those spans for every satisfying pair. Returns false (emitting
-/// nothing) when the condition has no typed sort domain — the caller falls
-/// back to the generic nested loop.
+/// into those spans for every satisfying pair.
 template <typename Emit>
-bool SortJoinRowSets(const JoinCondition& cond, const Relation& lhs_rel,
-                     std::span<const int64_t> lrows, const Relation& rhs_rel,
+void SortJoinRowSets(const CompiledPredicate& pred,
+                     std::span<const int64_t> lrows,
                      std::span<const int64_t> rrows, Emit&& emit) {
-  const SortKeyDomain domain = ClassifySortKey(cond, lhs_rel, rhs_rel);
-  if (domain == SortKeyDomain::kNone) return false;
-  const CompiledPredicate pred =
-      CompiledPredicate::Compile(cond, lhs_rel, rhs_rel);
-
   auto run = [&](auto lhs_key, auto rhs_key) {
     using K = decltype(lhs_key(int64_t{0}));
     std::vector<std::pair<K, int32_t>> left, right;
@@ -187,26 +168,23 @@ bool SortJoinRowSets(const JoinCondition& cond, const Relation& lhs_rel,
     for (size_t i = 0; i < rrows.size(); ++i) {
       right.emplace_back(rhs_key(rrows[i]), static_cast<int32_t>(i));
     }
-    SortedThetaScan(left, cond.op, right, emit);
+    SortedThetaScan(left, pred.op(), right, emit);
   };
 
-  switch (domain) {
-    case SortKeyDomain::kInt64:
+  switch (pred.domain()) {
+    case CompiledPredicate::Domain::kInt64:
       run([&](int64_t r) { return pred.LhsKeyInt(r); },
           [&](int64_t r) { return pred.RhsKeyInt(r); });
       break;
-    case SortKeyDomain::kDouble:
+    case CompiledPredicate::Domain::kDouble:
       run([&](int64_t r) { return pred.LhsKeyDouble(r); },
           [&](int64_t r) { return pred.RhsKeyDouble(r); });
       break;
-    case SortKeyDomain::kString:
+    case CompiledPredicate::Domain::kString:
       run([&](int64_t r) { return std::string_view(pred.LhsKeyString(r)); },
           [&](int64_t r) { return std::string_view(pred.RhsKeyString(r)); });
       break;
-    case SortKeyDomain::kNone:
-      return false;
   }
-  return true;
 }
 
 }  // namespace mrtheta

@@ -56,11 +56,11 @@ CompiledPredicate CompiledPredicate::Compile(const JoinCondition& cond,
     p.domain_ = Domain::kString;
     return p;
   }
-  const int64_t int_offset = static_cast<int64_t>(cond.offset);
+  const std::optional<int64_t> int_offset = IntegralOffset(cond.offset);
   if (l.type == ValueType::kInt64 && r.type == ValueType::kInt64 &&
-      static_cast<double>(int_offset) == cond.offset) {
+      int_offset.has_value()) {
     p.domain_ = Domain::kInt64;
-    p.offset_i64_ = int_offset;
+    p.offset_i64_ = *int_offset;
   } else {
     p.domain_ = Domain::kDouble;
   }

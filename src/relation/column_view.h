@@ -69,9 +69,12 @@ inline bool EvalThetaTyped(const T& l, ThetaOp op, const T& r) {
 /// and no schema lookups. This is the per-tuple-pair fast path every join
 /// kernel runs on.
 ///
-/// Domain rules (matching EvalTheta's numeric/string semantics, with the
-/// reducers' historical int64 fast path for integral offsets):
-///  - int64 vs int64 with an integral offset  -> int64 comparison;
+/// CompiledPredicate is the one owner of the comparison-domain rule: every
+/// join kernel (generic loop, sort-theta scan, Hilbert sorted candidates)
+/// keys and compares through it. The rule is EvalTheta's, so the boxed
+/// reference path agrees with every kernel on every value:
+///  - int64 vs int64 with an integral offset  -> int64 comparison
+///    (IntegralOffset);
 ///  - any other numeric pairing               -> double comparison;
 ///  - string vs string (offset must be 0)     -> lexicographic comparison.
 /// String-vs-numeric conditions are a programming error (the query

@@ -44,11 +44,20 @@ ThetaOp FlipOp(ThetaOp op) {
 
 bool IsInequality(ThetaOp op) { return op != ThetaOp::kEq; }
 
+std::optional<int64_t> IntegralOffset(double offset) {
+  // [-2^63, 2^63): the doubles whose int64 conversion is defined.
+  if (!(offset >= -0x1p63 && offset < 0x1p63)) return std::nullopt;
+  const int64_t int_offset = static_cast<int64_t>(offset);
+  if (static_cast<double>(int_offset) != offset) return std::nullopt;
+  return int_offset;
+}
+
 bool EvalTheta(const Value& lhs, ThetaOp op, const Value& rhs, double offset) {
   if (lhs.is_numeric()) {
-    if (offset == 0.0 && lhs.type() == ValueType::kInt64 &&
-        rhs.type() == ValueType::kInt64) {
-      return EvalThetaInt(lhs.AsInt(), op, rhs.AsInt(), 0);
+    if (lhs.type() == ValueType::kInt64 && rhs.type() == ValueType::kInt64) {
+      if (const std::optional<int64_t> off = IntegralOffset(offset)) {
+        return EvalThetaInt(lhs.AsInt(), op, rhs.AsInt(), *off);
+      }
     }
     return EvalThetaDouble(lhs.AsDouble(), op, rhs.AsDouble(), offset);
   }

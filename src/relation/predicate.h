@@ -2,6 +2,7 @@
 #define MRTHETA_RELATION_PREDICATE_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -29,7 +30,14 @@ ThetaOp FlipOp(ThetaOp op);
 /// functions" column of Tables 2 and 3.
 bool IsInequality(ThetaOp op);
 
-/// Evaluates (lhs + offset) op rhs. For string operands offset must be 0.
+/// The int64 form of a join offset: set when `offset` is integral (and in
+/// int64 range), so int64 operands compare exactly in int64. The one
+/// comparison-domain rule EvalTheta and CompiledPredicate share.
+std::optional<int64_t> IntegralOffset(double offset);
+
+/// Evaluates (lhs + offset) op rhs: in int64 for int64 operands with an
+/// integral offset, in double for any other numeric pairing. For string
+/// operands offset must be 0.
 bool EvalTheta(const Value& lhs, ThetaOp op, const Value& rhs,
                double offset = 0.0);
 

@@ -23,14 +23,15 @@
 namespace mrtheta {
 namespace {
 
+// Columns a in base + [0, key_range) and b in base + [0, 10).
 RelationPtr MakeRel(const char* name, int64_t rows, int64_t key_range,
-                    uint64_t seed) {
+                    uint64_t seed, int64_t base = 0) {
   auto rel = std::make_shared<Relation>(
       name, Schema({{"a", ValueType::kInt64}, {"b", ValueType::kInt64}}));
   Rng rng(seed);
   for (int64_t i = 0; i < rows; ++i) {
-    rel->AppendIntRow({static_cast<int64_t>(rng.Uniform(key_range)),
-                       static_cast<int64_t>(rng.Uniform(10))});
+    rel->AppendIntRow({base + static_cast<int64_t>(rng.Uniform(key_range)),
+                       base + static_cast<int64_t>(rng.Uniform(10))});
   }
   return rel;
 }
@@ -126,7 +127,14 @@ struct HilbertCase {
   int rows;
   int reduce_tasks;
   std::vector<JoinCondition> conditions;
+  // Added to every value: large bases put keys where adjacent int64 values
+  // share one double (above 2^53), so only int64-domain keys separate them.
+  int64_t value_base = 0;
 };
+
+// Nanosecond-epoch scale (~2023) and a negative extreme.
+constexpr int64_t kNsEpochBase = 1'700'000'000'000'000'000;
+constexpr int64_t kNegBase = -(int64_t{1} << 62);
 
 class HilbertJoinOracleTest : public ::testing::TestWithParam<HilbertCase> {};
 
@@ -136,7 +144,7 @@ TEST_P(HilbertJoinOracleTest, MatchesNaiveJoin) {
   std::vector<int> indices;
   MultiwayJoinJobSpec spec;
   for (int i = 0; i < tc.num_relations; ++i) {
-    bases.push_back(MakeRel("r", tc.rows, 50, 100 + i));
+    bases.push_back(MakeRel("r", tc.rows, 50, 100 + i, tc.value_base));
     indices.push_back(i);
     spec.inputs.push_back(JoinSide::ForBase(bases.back(), i));
   }
@@ -188,7 +196,24 @@ INSTANTIATE_TEST_SUITE_P(
                      {{2, 1}, ThetaOp::kEq, {3, 1}, 0.0, 2}}},
         HilbertCase{"star_eq", 3, 100, 12,
                     {{{0, 0}, ThetaOp::kEq, {1, 0}, 0.0, 0},
-                     {{0, 0}, ThetaOp::kEq, {2, 0}, 0.0, 1}}}),
+                     {{0, 0}, ThetaOp::kEq, {2, 0}, 0.0, 1}}},
+        // a0 < a1 <= a0 + 20, written as (a1 - 20) <= a0.
+        HilbertCase{"ns_epoch_band_offset", 2, 150, 8,
+                    {{{0, 0}, ThetaOp::kLt, {1, 0}, 0.0, 0},
+                     {{1, 0}, ThetaOp::kLe, {0, 0}, -20.0, 1}},
+                    kNsEpochBase},
+        HilbertCase{"ns_epoch_chain3_lt", 3, 60, 8,
+                    {{{0, 0}, ThetaOp::kLt, {1, 0}, 0.0, 0},
+                     {{1, 0}, ThetaOp::kLt, {2, 0}, 0.0, 1}},
+                    kNsEpochBase},
+        HilbertCase{"neg_2_62_band_offset", 2, 150, 8,
+                    {{{0, 0}, ThetaOp::kLt, {1, 0}, 0.0, 0},
+                     {{1, 0}, ThetaOp::kLe, {0, 0}, -20.0, 1}},
+                    kNegBase},
+        HilbertCase{"neg_2_62_chain3_lt", 3, 60, 8,
+                    {{{0, 0}, ThetaOp::kLt, {1, 0}, 0.0, 0},
+                     {{1, 0}, ThetaOp::kLt, {2, 0}, 0.0, 1}},
+                    kNegBase}),
     [](const ::testing::TestParamInfo<HilbertCase>& param_info) {
       return param_info.param.name;
     });
@@ -890,9 +915,9 @@ TEST(FilterPushdownTest, EquiJoinFiltersShrinkShuffleNotInput) {
 // ---- Sort-based kernels: randomized differential vs nested-loop oracle ----
 
 // One-column relation of the given type; a small domain makes duplicate
-// keys the common case.
+// keys the common case. Numeric values are offset by `base`.
 RelationPtr MakeTypedRel(ValueType type, int64_t rows, int64_t domain,
-                         uint64_t seed) {
+                         uint64_t seed, int64_t base = 0) {
   auto rel =
       std::make_shared<Relation>("t", Schema({{"k", type}}));
   Rng rng(seed);
@@ -900,12 +925,13 @@ RelationPtr MakeTypedRel(ValueType type, int64_t rows, int64_t domain,
     std::vector<Value> row;
     switch (type) {
       case ValueType::kInt64:
-        row.push_back(Value(rng.UniformInt(-domain, domain)));
+        row.push_back(Value(base + rng.UniformInt(-domain, domain)));
         break;
       case ValueType::kDouble:
         // Half-integral values: exercises exact ties across the domain.
-        row.push_back(
-            Value(static_cast<double>(rng.UniformInt(-domain, domain)) * 0.5));
+        row.push_back(Value(
+            static_cast<double>(base) +
+            static_cast<double>(rng.UniformInt(-domain, domain)) * 0.5));
         break;
       case ValueType::kString:
         row.push_back(Value("s" + std::to_string(rng.Uniform(domain + 1))));
@@ -936,17 +962,28 @@ std::vector<std::pair<int64_t, int64_t>> NestedLoopReference(
 TEST(KernelDifferentialTest, SortAndCompiledKernelsMatchNaiveReference) {
   constexpr ThetaOp kOps[] = {ThetaOp::kLt, ThetaOp::kLe, ThetaOp::kEq,
                               ThetaOp::kGe, ThetaOp::kGt, ThetaOp::kNe};
-  // Type pairings: all three ValueTypes plus the mixed-numeric domain.
-  const std::pair<ValueType, ValueType> kTypes[] = {
-      {ValueType::kInt64, ValueType::kInt64},
-      {ValueType::kDouble, ValueType::kDouble},
-      {ValueType::kString, ValueType::kString},
-      {ValueType::kInt64, ValueType::kDouble},
+  // Type pairings: all three ValueTypes plus the mixed-numeric domain, at
+  // small values and near ±2^62, where adjacent int64 values share one
+  // double and only the int64 domain keeps them apart.
+  struct Pairing {
+    ValueType ltype;
+    ValueType rtype;
+    int64_t base;
+  };
+  constexpr int64_t k2p62 = int64_t{1} << 62;
+  const Pairing kTypes[] = {
+      {ValueType::kInt64, ValueType::kInt64, 0},
+      {ValueType::kDouble, ValueType::kDouble, 0},
+      {ValueType::kString, ValueType::kString, 0},
+      {ValueType::kInt64, ValueType::kDouble, 0},
+      {ValueType::kInt64, ValueType::kInt64, k2p62},
+      {ValueType::kInt64, ValueType::kInt64, -k2p62},
+      {ValueType::kInt64, ValueType::kDouble, k2p62},
   };
   int cases = 0;
   for (uint64_t seed = 0; seed < 30; ++seed) {
     Rng rng(9000 + seed);
-    for (const auto& [ltype, rtype] : kTypes) {
+    for (const auto& [ltype, rtype, base] : kTypes) {
       const ThetaOp op = kOps[rng.Uniform(6)];
       // Row counts include empty sides; domains stay tiny so duplicate
       // keys and all-equal columns occur regularly.
@@ -959,8 +996,10 @@ TEST(KernelDifferentialTest, SortAndCompiledKernelsMatchNaiveReference) {
         offset = static_cast<double>(rng.UniformInt(-3, 3));
         if (rng.Bernoulli(0.3)) offset += 0.5;
       }
-      RelationPtr lrel = MakeTypedRel(ltype, lrows, domain, 100 + seed * 7);
-      RelationPtr rrel = MakeTypedRel(rtype, rrows, domain, 200 + seed * 13);
+      RelationPtr lrel =
+          MakeTypedRel(ltype, lrows, domain, 100 + seed * 7, base);
+      RelationPtr rrel =
+          MakeTypedRel(rtype, rrows, domain, 200 + seed * 13, base);
       JoinCondition cond{{0, 0}, op, {1, 0}, offset, 0};
 
       const auto expected = NestedLoopReference(cond, *lrel, *rrel);
@@ -977,24 +1016,22 @@ TEST(KernelDifferentialTest, SortAndCompiledKernelsMatchNaiveReference) {
       EXPECT_EQ(compiled, expected)
           << "compiled predicate diverged: " << cond.ToString() << " "
           << ValueTypeName(ltype) << "/" << ValueTypeName(rtype)
-          << " seed=" << seed;
+          << " base=" << base << " seed=" << seed;
 
       // Sort-based kernel over the full row sets.
       std::vector<int64_t> lidx(lrel->num_rows()), ridx(rrel->num_rows());
       std::iota(lidx.begin(), lidx.end(), 0);
       std::iota(ridx.begin(), ridx.end(), 0);
       std::vector<std::pair<int64_t, int64_t>> sorted_pairs;
-      const bool applied = SortJoinRowSets(
-          cond, *lrel, lidx, *rrel, ridx,
-          [&](int32_t lpos, int32_t rpos) {
-            sorted_pairs.emplace_back(lidx[lpos], ridx[rpos]);
-          });
-      ASSERT_TRUE(applied) << cond.ToString();
+      SortJoinRowSets(pred, lidx, ridx, [&](int32_t lpos, int32_t rpos) {
+        sorted_pairs.emplace_back(lidx[lpos], ridx[rpos]);
+      });
       std::sort(sorted_pairs.begin(), sorted_pairs.end());
       EXPECT_EQ(sorted_pairs, expected)
           << "sort kernel diverged: " << cond.ToString() << " "
           << ValueTypeName(ltype) << "/" << ValueTypeName(rtype)
-          << " seed=" << seed << " lrows=" << lrows << " rrows=" << rrows;
+          << " base=" << base << " seed=" << seed << " lrows=" << lrows
+          << " rrows=" << rrows;
       ++cases;
     }
   }
@@ -1078,15 +1115,15 @@ TEST(ChooseSortDriverTest, PrefersInequalityOverEquality) {
       {{0, 0}, ThetaOp::kEq, {1, 0}, 0.0, 0},
       {{0, 1}, ThetaOp::kLt, {1, 1}, 0.0, 1},
   };
-  EXPECT_EQ(ChooseSortDriver(conds, {a, b}), 1);
+  EXPECT_EQ(ChooseSortDriver(conds), 1);
   const std::vector<JoinCondition> eq_only = {
       {{0, 0}, ThetaOp::kEq, {1, 0}, 0.0, 0},
   };
-  EXPECT_EQ(ChooseSortDriver(eq_only, {a, b}), 0);
+  EXPECT_EQ(ChooseSortDriver(eq_only), 0);
   const std::vector<JoinCondition> ne_only = {
       {{0, 0}, ThetaOp::kNe, {1, 0}, 0.0, 0},
   };
-  EXPECT_EQ(ChooseSortDriver(ne_only, {a, b}), -1);
+  EXPECT_EQ(ChooseSortDriver(ne_only), -1);
 }
 
 // ---- Spill differential: every operator under a tight memory budget ----

@@ -158,6 +158,33 @@ TEST_F(IntegrationTest, FlightItineraryAllSystemsAgree) {
   CheckAllSystems(*q);
 }
 
+TEST_F(IntegrationTest, NsEpochFlightItineraryAllSystemsAgree) {
+  // The itinerary with dt/at shifted to nanosecond-epoch scale (~2023):
+  // minutes apart, the keys share doubles, so every band must compare in
+  // int64 to match the oracle.
+  constexpr int64_t kEpochNs = 1'700'000'000'000'000'000;
+  FlightLegOptions options;
+  options.physical_rows = 150;
+  options.logical_rows = kGiB / 28;
+  std::vector<RelationPtr> legs;
+  for (int leg = 0; leg < 3; ++leg) {
+    const RelationPtr minutes = GenerateFlightLeg(leg, options);
+    auto shifted = std::make_shared<Relation>(minutes->name(),
+                                              minutes->schema());
+    for (int64_t r = 0; r < minutes->num_rows(); ++r) {
+      shifted->AppendIntRow({minutes->GetInt(r, 0),
+                             kEpochNs + minutes->GetInt(r, 1),
+                             kEpochNs + minutes->GetInt(r, 2)});
+    }
+    shifted->set_logical_rows(minutes->logical_rows());
+    legs.push_back(std::move(shifted));
+  }
+  const auto q = BuildItineraryQuery(
+      legs, {StayOver{60, 240}, StayOver{120, 360}});
+  ASSERT_TRUE(q.ok());
+  CheckAllSystems(*q);
+}
+
 TEST_F(IntegrationTest, InequalityChainFavoursSingleJob) {
   // The headline behaviour: on an inequality-only chain our plan beats the
   // Hive-style cascade in simulated time (the cascade materializes band
