@@ -281,6 +281,7 @@ StatusOr<ExecutionResult> Executor::RunOn(ThreadPool& pool,
       exec.skew_heavy_tasks = hilbert_info.skew.heavy_tasks;
       exec.skew_heavy_groups =
           static_cast<int>(hilbert_info.skew.groups.size());
+      exec.reducer_work = phys->reducer_work;
     }
     exec.output = phys->output;
     // Covered bases = union of the inputs' coverage.

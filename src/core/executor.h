@@ -2,12 +2,14 @@
 #define MRTHETA_CORE_EXECUTOR_H_
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "src/common/status.h"
 #include "src/core/plan.h"
 #include "src/core/query.h"
 #include "src/exec/theta_kernels.h"
+#include "src/mapreduce/job.h"
 #include "src/mapreduce/sim_cluster.h"
 #include "src/runtime/fault_injection.h"
 #include "src/sched/skew_assigner.h"
@@ -50,6 +52,10 @@ struct JobExecution {
   /// byte-identical with or without spilling.
   int64_t spill_bytes = 0;
   int64_t spill_files = 0;
+  /// Physical work of the Hilbert reducer (docs/OBSERVABILITY.md), summed
+  /// over committed reduce tasks; unset for every other job kind.
+  /// Observability only — the simulator never reads it.
+  std::optional<ReducerWork> reducer_work;
   std::shared_ptr<Relation> output;
   std::vector<int> covered_bases;
 };

@@ -3,8 +3,10 @@
 #include "src/common/status.h"
 
 #include <algorithm>
+#include <cmath>
 #include <functional>
 #include <map>
+#include <numeric>
 #include <set>
 #include <tuple>
 #include <type_traits>
@@ -134,6 +136,147 @@ K SideKey(const BoundCondition& bc, bool lhs, int64_t row) {
   }
 }
 
+// The function of a record that one side of a condition keys on: the base
+// column, the offset folded into it (lhs sides only) and the comparison
+// domain. Range conditions with equal keys sort their candidates the same
+// way, so their ranges intersect on one sorted list.
+struct SideKeyFn {
+  ColumnRef col;
+  double offset = 0.0;
+  CompiledPredicate::Domain domain = CompiledPredicate::Domain::kInt64;
+
+  bool operator==(const SideKeyFn&) const = default;
+};
+
+SideKeyFn KeyFnOf(const BoundCondition& bc, bool lhs) {
+  return lhs ? SideKeyFn{bc.cond.lhs, bc.cond.offset, bc.pred.domain()}
+             : SideKeyFn{bc.cond.rhs, 0.0, bc.pred.domain()};
+}
+
+// How strongly a condition links its two inputs, for the depth order,
+// weakest first.
+enum class Link { kNone, kAny, kRange, kEquality };
+
+Link LinkOf(const BoundCondition& bc) {
+  if (bc.cond.op == ThetaOp::kEq && bc.cond.offset == 0.0) {
+    return Link::kEquality;
+  }
+  return DrivesRange(bc) ? Link::kRange : Link::kAny;
+}
+
+// The depth -> input binding order of the backtracking join. Depth 0 binds
+// the lowest-index input of the largest set of inputs linked by offset-free
+// equalities (input 0 when nothing is linked); each next depth binds the
+// unbound input with the strongest Link to an already-bound input, ties to
+// the lower index.
+std::vector<int> ChooseDepthOrder(int n,
+                                  const std::vector<BoundCondition>& conds) {
+  std::vector<int> parent(n);
+  std::iota(parent.begin(), parent.end(), 0);
+  auto find = [&](int x) {
+    while (parent[x] != x) {
+      parent[x] = parent[parent[x]];
+      x = parent[x];
+    }
+    return x;
+  };
+  for (const BoundCondition& bc : conds) {
+    if (bc.lhs_input != bc.rhs_input && LinkOf(bc) == Link::kEquality) {
+      parent[find(bc.lhs_input)] = find(bc.rhs_input);
+    }
+  }
+  std::vector<int> linked(n, 0);
+  for (int i = 0; i < n; ++i) ++linked[find(i)];
+  int first = 0;
+  for (int i = 0; i < n; ++i) {
+    if (linked[find(i)] > linked[find(first)]) first = i;
+  }
+  std::vector<int> order = {first};
+  std::vector<bool> bound(n, false);
+  bound[first] = true;
+  while (static_cast<int>(order.size()) < n) {
+    int pick = -1;
+    Link pick_link = Link::kNone;
+    for (int i = 0; i < n; ++i) {
+      if (bound[i]) continue;
+      Link link = Link::kNone;
+      for (const BoundCondition& bc : conds) {
+        if ((bc.lhs_input == i && bound[bc.rhs_input]) ||
+            (bc.rhs_input == i && bound[bc.lhs_input])) {
+          link = std::max(link, LinkOf(bc));
+        }
+      }
+      if (pick < 0 || link > pick_link) {
+        pick = i;
+        pick_link = link;
+      }
+    }
+    order.push_back(pick);
+    bound[pick] = true;
+  }
+  return order;
+}
+
+// A range-driving condition at the depth binding `input`, oriented so the
+// depth's candidate key `op` the bound input's key decides it.
+struct RangeBound {
+  BoundCondition bc;
+  bool current_is_lhs = false;
+  ThetaOp op = ThetaOp::kEq;
+  int other_input = 0;
+
+  RangeBound(const BoundCondition& cond, int input)
+      : bc(cond),
+        current_is_lhs(cond.lhs_input == input),
+        op(current_is_lhs ? cond.cond.op : FlipOp(cond.cond.op)),
+        other_input(current_is_lhs ? cond.rhs_input : cond.lhs_input) {}
+};
+
+// One depth of the backtracking join: the input it binds, the conditions
+// whose key ranges bound its candidates (every one keys the same
+// SideKeyFn, so the ranges intersect on one sorted list; empty = scan
+// every record), and the conditions checked per candidate. A condition in
+// `range` holds for every candidate inside the range, so it is not
+// checked again.
+struct DepthPlan {
+  int input = 0;
+  std::vector<RangeBound> range = {};
+  std::vector<BoundCondition> checks = {};
+};
+
+// Splits the conditions decided at the depth binding `input` into its
+// range and its checks. An equality drives the range whenever one can,
+// else the first range-driving condition; every other range-driving
+// condition keying the same SideKeyFn joins the range.
+DepthPlan PlanDepth(int input, const std::vector<BoundCondition>& conds,
+                    bool sort_candidates) {
+  DepthPlan plan;
+  plan.input = input;
+  const BoundCondition* driver = nullptr;
+  for (const BoundCondition& bc : conds) {
+    if (!sort_candidates || !DrivesRange(bc)) continue;
+    if (driver == nullptr ||
+        (bc.cond.op == ThetaOp::kEq && driver->cond.op != ThetaOp::kEq)) {
+      driver = &bc;
+    }
+  }
+  if (driver == nullptr) {
+    plan.checks = conds;
+    return plan;
+  }
+  const SideKeyFn key = KeyFnOf(*driver, driver->lhs_input == input);
+  plan.range.emplace_back(*driver, input);
+  for (const BoundCondition& bc : conds) {
+    if (&bc == driver) continue;
+    if (DrivesRange(bc) && KeyFnOf(bc, bc.lhs_input == input) == key) {
+      plan.range.emplace_back(bc, input);
+    } else {
+      plan.checks.push_back(bc);
+    }
+  }
+  return plan;
+}
+
 // Shared state captured by the map and reduce closures.
 struct HilbertJobState {
   HilbertCurve curve;
@@ -146,11 +289,10 @@ struct HilbertJobState {
   std::vector<JoinSide> inputs = {};
   OutputRowLayout output;
   std::vector<int> dim_representative = {};  // dim -> lowest input index
-  // conditions_at_depth[j] = conditions decidable once inputs 0..j are
-  // assigned (and not before).
-  std::vector<std::vector<BoundCondition>> conditions_at_depth = {};
+  // depths[d] binds input depths[d].input (ChooseDepthOrder) and decides
+  // the conditions whose deeper endpoint is bound at d.
+  std::vector<DepthPlan> depths = {};
   uint64_t seed = 0;
-  bool use_sorted_candidates = true;
   // ---- Skew handling (docs/SKEW.md) ----
   // Reduce tasks [0, residual_tasks) are Hilbert curve segments; tasks
   // [residual_tasks, residual_tasks + Σ group sizes) are per-heavy-value
@@ -209,11 +351,11 @@ struct HilbertJobState {
   }
 };
 
-// Backtracking join over one component's records. At every depth with a
-// range-driving condition against an already-bound input (DrivesRange),
-// candidates are pre-sorted on the condition's key so each recursion step
-// scans only the qualifying key range (binary search) instead of the whole
-// list.
+// Backtracking join over one component's records, one input per depth in
+// the job's depth order. A depth with range conditions pre-sorts its
+// candidates on their shared key, so each recursion step scans only the
+// intersection of the qualifying key ranges (binary search) instead of the
+// whole list.
 class ComponentJoiner {
  public:
   ComponentJoiner(const HilbertJobState& state, const ReduceContext& ctx,
@@ -225,68 +367,60 @@ class ComponentJoiner {
         // map-side split/broadcast already made combinations unique), so
         // the curve ownership check is skipped there.
         heavy_(ctx.key >= static_cast<int64_t>(state.residual_tasks)) {
-    const int dims = static_cast<int>(state_.inputs.size());
-    rows_.resize(dims);
-    slices_.resize(dims);
-    depth_checks_.assign(dims, 0.0);
-    PrepareSortedCandidates();
+    const int num_inputs = static_cast<int>(state_.inputs.size());
+    rows_.resize(num_inputs);
+    slices_.resize(num_inputs);
   }
 
   void Run() {
+    ChargeComparisons();
     const int num_inputs = static_cast<int>(state_.inputs.size());
     // Empty input => no results in this component.
-    for (int d = 0; d < num_inputs; ++d) {
-      if (ctx_.records(d).empty()) {
-        ChargeComparisons();
-        return;
-      }
+    for (int i = 0; i < num_inputs; ++i) {
+      if (ctx_.records(i).empty()) return;
     }
+    PrepareSortedCandidates();
     Recurse(0);
-    ChargeComparisons();
+    out_.AddWork(work_);
   }
 
  private:
-  // A depth's records keyed in the range condition's domain, ascending.
+  // A depth's records keyed on its range key, ascending.
   template <typename K>
   using Entries = std::vector<std::pair<K, const MapOutputRecord*>>;
-
   // One depth's candidate list: unsorted (monostate: scan every record) or
-  // sorted on the current input's key of range condition `bc`.
-  struct SortedCandidates {
-    const BoundCondition* bc = nullptr;  // range condition, in state_
-    bool current_is_lhs = false;
-    ThetaOp op = ThetaOp::kEq;  // current key `op` other key
-    std::variant<std::monostate, Entries<int64_t>, Entries<double>> entries;
-  };
+  // sorted on the depth's range key.
+  using Candidates =
+      std::variant<std::monostate, Entries<int64_t>, Entries<double>>;
 
   void PrepareSortedCandidates() {
     const int num_inputs = static_cast<int>(state_.inputs.size());
     sorted_.resize(num_inputs);
-    if (!state_.use_sorted_candidates) return;
-    for (int d = 1; d < num_inputs; ++d) {
-      // The first range-driving condition at this depth prunes by key.
-      for (const BoundCondition& bc : state_.conditions_at_depth[d]) {
-        if (!DrivesRange(bc)) continue;
-        SortedCandidates& sc = sorted_[d];
-        sc.bc = &bc;
-        sc.current_is_lhs = bc.lhs_input == d;
-        sc.op = sc.current_is_lhs ? bc.cond.op : FlipOp(bc.cond.op);
-        if (bc.pred.domain() == CompiledPredicate::Domain::kInt64) {
-          sc.entries = SortedEntries<int64_t>(d, sc);
-        } else {
-          sc.entries = SortedEntries<double>(d, sc);
-        }
-        break;
+    for (int d = 0; d < num_inputs; ++d) {
+      const DepthPlan& plan = state_.depths[d];
+      if (plan.range.empty()) continue;
+      if (plan.range[0].bc.pred.domain() ==
+          CompiledPredicate::Domain::kInt64) {
+        sorted_[d] = SortedEntries<int64_t>(plan);
+      } else {
+        sorted_[d] = SortedEntries<double>(plan);
       }
     }
   }
 
   template <typename K>
-  Entries<K> SortedEntries(int depth, const SortedCandidates& sc) const {
+  Entries<K> SortedEntries(const DepthPlan& plan) const {
+    const RangeBound& key = plan.range[0];
     Entries<K> e;
-    e.reserve(ctx_.records(depth).size());
-    for (const MapOutputRecord* rec : ctx_.records(depth)) {
-      e.emplace_back(SideKey<K>(*sc.bc, sc.current_is_lhs, rec->row), rec);
+    e.reserve(ctx_.records(plan.input).size());
+    for (const MapOutputRecord* rec : ctx_.records(plan.input)) {
+      const K k = SideKey<K>(key.bc, key.current_is_lhs, rec->row);
+      // A NaN key satisfies no range condition (DrivesRange excludes <>),
+      // and leaving it out keeps the sort a strict weak order.
+      if constexpr (std::is_same_v<K, double>) {
+        if (std::isnan(k)) continue;
+      }
+      e.emplace_back(k, rec);
     }
     std::sort(e.begin(), e.end(), [](const auto& a, const auto& b) {
       return a.first < b.first;
@@ -295,51 +429,70 @@ class ComponentJoiner {
   }
 
   // Qualifying [lo, hi) index range of `e` given the currently bound
-  // prefix: the entries whose key k satisfies `k sc.op other_key`.
+  // prefix: the intersection, over the depth's range conditions, of the
+  // entries whose key k satisfies `k op other_key`.
   template <typename K>
-  std::pair<size_t, size_t> RangeFor(const SortedCandidates& sc,
+  std::pair<size_t, size_t> RangeFor(const DepthPlan& plan,
                                      const Entries<K>& e) const {
-    const BoundCondition& bc = *sc.bc;
-    const K other = SideKey<K>(
-        bc, !sc.current_is_lhs,
-        rows_[sc.current_is_lhs ? bc.rhs_input : bc.lhs_input]);
-    auto lower = [&] {
-      return static_cast<size_t>(
-          std::lower_bound(e.begin(), e.end(), other,
-                           [](const auto& a, K x) { return a.first < x; }) -
-          e.begin());
-    };
-    auto upper = [&] {
-      return static_cast<size_t>(
-          std::upper_bound(e.begin(), e.end(), other,
-                           [](K x, const auto& a) { return x < a.first; }) -
-          e.begin());
-    };
-    switch (sc.op) {
-      case ThetaOp::kLt:
-        return {0, lower()};
-      case ThetaOp::kLe:
-        return {0, upper()};
-      case ThetaOp::kGt:
-        return {upper(), e.size()};
-      case ThetaOp::kGe:
-        return {lower(), e.size()};
-      case ThetaOp::kEq:
-        return {lower(), upper()};
-      case ThetaOp::kNe:  // never drives a range (DrivesRange)
-        break;
+    size_t lo = 0;
+    size_t hi = e.size();
+    for (const RangeBound& b : plan.range) {
+      const K other =
+          SideKey<K>(b.bc, !b.current_is_lhs, rows_[b.other_input]);
+      if constexpr (std::is_same_v<K, double>) {
+        if (std::isnan(other)) return {0, 0};
+      }
+      const auto first = e.begin() + static_cast<std::ptrdiff_t>(lo);
+      const auto last = e.begin() + static_cast<std::ptrdiff_t>(hi);
+      auto lower = [&] {
+        return static_cast<size_t>(
+            std::lower_bound(first, last, other,
+                             [](const auto& a, K x) { return a.first < x; }) -
+            e.begin());
+      };
+      auto upper = [&] {
+        return static_cast<size_t>(
+            std::upper_bound(first, last, other,
+                             [](K x, const auto& a) { return x < a.first; }) -
+            e.begin());
+      };
+      switch (b.op) {
+        case ThetaOp::kLt:
+          hi = lower();
+          break;
+        case ThetaOp::kLe:
+          hi = upper();
+          break;
+        case ThetaOp::kGt:
+          lo = upper();
+          break;
+        case ThetaOp::kGe:
+          lo = lower();
+          break;
+        case ThetaOp::kEq: {
+          const size_t l = lower();
+          hi = upper();
+          lo = l;
+          break;
+        }
+        case ThetaOp::kNe:  // never drives a range (DrivesRange)
+          break;
+      }
+      if (lo >= hi) return {0, 0};
     }
-    return {0, e.size()};
+    return {lo, hi};
   }
 
   void Recurse(int depth) {
-    const SortedCandidates& sc = sorted_[depth];
-    if (const auto* e = std::get_if<Entries<int64_t>>(&sc.entries)) {
-      Scan(depth, *e, RangeFor(sc, *e));
-    } else if (const auto* e = std::get_if<Entries<double>>(&sc.entries)) {
-      Scan(depth, *e, RangeFor(sc, *e));
+    const DepthPlan& plan = state_.depths[depth];
+    const Candidates& c = sorted_[depth];
+    if (const auto* e = std::get_if<Entries<int64_t>>(&c)) {
+      Scan(depth, *e, RangeFor(plan, *e));
+    } else if (const auto* e = std::get_if<Entries<double>>(&c)) {
+      Scan(depth, *e, RangeFor(plan, *e));
     } else {
-      Scan(depth, ctx_.records(depth), {0, ctx_.records(depth).size()});
+      const auto& records = ctx_.records(plan.input);
+      Scan(depth, records, {0, records.size()});
     }
   }
 
@@ -355,28 +508,33 @@ class ComponentJoiner {
   // Binds each candidate in `range` at `depth`; recurses on success, or
   // emits the completed combination at the last depth when this task owns
   // its cell.
-  template <typename Candidates>
-  void Scan(int depth, const Candidates& candidates,
+  template <typename List>
+  void Scan(int depth, const List& candidates,
             std::pair<size_t, size_t> range) {
-    const int num_inputs = static_cast<int>(state_.inputs.size());
+    const DepthPlan& plan = state_.depths[depth];
+    const bool last = depth + 1 == static_cast<int>(state_.depths.size());
     for (size_t i = range.first; i < range.second; ++i) {
       const MapOutputRecord* rec = RecordOf(candidates[i]);
-      depth_checks_[depth] += 1.0;
-      rows_[depth] = rec->row;
-      slices_[depth] = static_cast<uint32_t>(rec->rec_id);
+      ++work_.candidates_visited;
+      rows_[plan.input] = rec->row;
+      slices_[plan.input] = static_cast<uint32_t>(rec->rec_id);
       bool pass = true;
-      for (const BoundCondition& bc : state_.conditions_at_depth[depth]) {
+      for (const BoundCondition& bc : plan.checks) {
         if (!bc.Eval(rows_[bc.lhs_input], rows_[bc.rhs_input])) {
           pass = false;
           break;
         }
       }
       if (!pass) continue;
-      if (depth + 1 < num_inputs) {
+      if (!last) {
         Recurse(depth + 1);
         continue;
       }
-      if (!heavy_ && !OwnsCell()) continue;
+      ++work_.combinations_assembled;
+      if (!heavy_ && !OwnsCell()) {
+        ++work_.ownership_rejects;
+        continue;
+      }
       state_.output.Emit(rows_, row_, out_);
     }
   }
@@ -396,25 +554,30 @@ class ComponentJoiner {
            static_cast<int>(ctx_.key);
   }
 
+  // Charges the component's whole cross product Π|records(i)|, the way the
+  // pairwise jobs charge |L|·|R|: what a reducer without range search would
+  // compare, independent of the kernel and the depth order. β frame: the
+  // work scales linearly with the represented volume, like every other
+  // extrapolated quantity (DESIGN.md §1).
   void ChargeComparisons() {
-    // β frame: comparison work scales linearly with the represented
-    // volume, like every other extrapolated quantity (DESIGN.md §1).
     double max_scale = 1.0;
     for (double s : state_.scales) max_scale = std::max(max_scale, s);
-    double total = 0.0;
-    for (double c : depth_checks_) total += c;
-    out_.AddComparisons(total * max_scale);
+    double product = 1.0;
+    for (int i = 0; i < static_cast<int>(state_.inputs.size()); ++i) {
+      product *= static_cast<double>(ctx_.records(i).size());
+    }
+    out_.AddComparisons(product * max_scale);
   }
 
   const HilbertJobState& state_;
   const ReduceContext& ctx_;
   ReduceCollector& out_;
   const bool heavy_;
-  std::vector<int64_t> rows_;
-  std::vector<uint32_t> slices_;
-  std::vector<double> depth_checks_;
-  std::vector<SortedCandidates> sorted_;
+  std::vector<int64_t> rows_;      // per input: the bound row
+  std::vector<uint32_t> slices_;   // per input: the bound row's slice
+  std::vector<Candidates> sorted_;  // per depth
   std::vector<int64_t> row_;  // output row buffer
+  ReducerWork work_;
 };
 
 }  // namespace
@@ -594,8 +757,7 @@ StatusOr<MapReduceJobSpec> BuildHilbertJoinJob(const MultiwayJoinJobSpec& spec,
       .base_relations = spec.base_relations,
       .inputs = spec.inputs,
       .output = OutputRowLayout(spec.inputs),
-      .seed = spec.seed,
-      .use_sorted_candidates = spec.kernel_policy == KernelPolicy::kAuto});
+      .seed = spec.seed});
 
   const int kr = static_cast<int>(std::min<uint64_t>(
       static_cast<uint64_t>(skew.residual_tasks), curve->num_cells()));
@@ -641,20 +803,32 @@ StatusOr<MapReduceJobSpec> BuildHilbertJoinJob(const MultiwayJoinJobSpec& spec,
     if (state->dim_representative[d] < 0) state->dim_representative[d] = i;
   }
 
-  // Bucket conditions by the deepest input they touch, binding type
-  // dispatch and row resolution once per condition. The job is a
+  // Bind every condition once, choose the depth order, and give each
+  // condition to the depth binding its deeper endpoint. The job is a
   // sort-theta job only when some condition can drive a sorted candidate
   // list; otherwise it reports the generic backtracking loop.
-  state->conditions_at_depth.resize(num_inputs);
+  std::vector<BoundCondition> bound;
   bool any_range = false;
   for (const JoinCondition& cond : spec.conditions) {
-    BoundCondition bc =
-        BoundCondition::Bind(cond, spec.inputs, spec.base_relations);
-    any_range = any_range || DrivesRange(bc);
-    state->conditions_at_depth[std::max(bc.lhs_input, bc.rhs_input)]
+    bound.push_back(
+        BoundCondition::Bind(cond, spec.inputs, spec.base_relations));
+    any_range = any_range || DrivesRange(bound.back());
+  }
+  const bool sort_candidates =
+      spec.kernel_policy == KernelPolicy::kAuto && any_range;
+  const std::vector<int> depth_order = ChooseDepthOrder(num_inputs, bound);
+  std::vector<int> depth_of_input(num_inputs, 0);
+  for (int d = 0; d < num_inputs; ++d) depth_of_input[depth_order[d]] = d;
+  std::vector<std::vector<BoundCondition>> at_depth(num_inputs);
+  for (BoundCondition& bc : bound) {
+    at_depth[std::max(depth_of_input[bc.lhs_input],
+                      depth_of_input[bc.rhs_input])]
         .push_back(std::move(bc));
   }
-  state->use_sorted_candidates = state->use_sorted_candidates && any_range;
+  for (int d = 0; d < num_inputs; ++d) {
+    state->depths.push_back(
+        PlanDepth(depth_order[d], at_depth[d], sort_candidates));
+  }
 
   MapReduceJobSpec job;
   job.name = spec.name;
@@ -668,9 +842,9 @@ StatusOr<MapReduceJobSpec> BuildHilbertJoinJob(const MultiwayJoinJobSpec& spec,
   job.output_schema = MakeIntermediateSchema(
       state->output.bases(), spec.base_relations, spec.output_columns);
   job.output_name = spec.name + ".out";
-  job.kernel = JoinKernelName(state->use_sorted_candidates
-                                  ? JoinKernel::kSortTheta
-                                  : JoinKernel::kGeneric);
+  job.kernel =
+      JoinKernelName(sort_candidates ? JoinKernel::kSortTheta
+                                     : JoinKernel::kGeneric);
   // β-extrapolation (the paper's Eq. 5 output model): results scale
   // linearly with the represented data volume. See DESIGN.md §1.
   double row_scale = 1.0;
@@ -754,6 +928,7 @@ StatusOr<MapReduceJobSpec> BuildHilbertJoinJob(const MultiwayJoinJobSpec& spec,
     info->output_bases = state->output.bases();
     info->skew = skew;
     info->skew_dim = skew_dim;
+    info->depth_order = depth_order;
   }
   return job;
 }

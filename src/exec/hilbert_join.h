@@ -98,6 +98,9 @@ struct HilbertJoinPlanInfo {
   SkewAssignment skew;
   /// Hyper-cube dimension whose join-key skew the groups absorb, or -1.
   int skew_dim = -1;
+  /// depth -> input: the order the reducer's backtracking join binds its
+  /// inputs in (docs/EXECUTOR.md "Hilbert multi-way").
+  std::vector<int> depth_order;
 };
 
 /// \brief Builds the (key,value) mapping of Algorithm 1:
@@ -107,8 +110,10 @@ struct HilbertJoinPlanInfo {
 ///  segment (reduce component) whose dimension-i coverage contains the
 ///  slice.
 ///
-///  Reduce: backtracking join over the component's tuples in trail order
-///  with early condition pruning; a fully-assigned combination is emitted
+///  Reduce: backtracking join over the component's tuples in the job's
+///  depth order (equality-linked inputs first), each depth scanning the
+///  intersected key range of its range conditions and checking the rest
+///  as soon as they are decidable; a fully-assigned combination is emitted
 ///  only when its cell's curve position belongs to this component, which
 ///  makes results exactly-once across reducers.
 StatusOr<MapReduceJobSpec> BuildHilbertJoinJob(const MultiwayJoinJobSpec& spec,

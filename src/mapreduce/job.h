@@ -176,6 +176,24 @@ class MapEmitter {
   int64_t spilled_bytes_ = 0;
 };
 
+/// Physical work of a join reducer: candidate tuples it bound and checked,
+/// combinations that passed every condition, and assembled combinations
+/// dropped because another reduce task owns their cell. Observability only:
+/// the simulator never reads it (JobMeasurement is the simulated view).
+struct ReducerWork {
+  int64_t candidates_visited = 0;
+  int64_t combinations_assembled = 0;
+  int64_t ownership_rejects = 0;
+
+  ReducerWork& operator+=(const ReducerWork& o) {
+    candidates_visited += o.candidates_visited;
+    combinations_assembled += o.combinations_assembled;
+    ownership_rejects += o.ownership_rejects;
+    return *this;
+  }
+  bool operator==(const ReducerWork&) const = default;
+};
+
 /// Collects Reduce outputs and CPU accounting.
 class ReduceCollector {
  public:
@@ -194,7 +212,11 @@ class ReduceCollector {
   /// task; drives the simulated CPU time of the task.
   void AddComparisons(double n) { comparisons_ += n; }
 
+  /// Adds physical reducer work to the current reduce task.
+  void AddWork(const ReducerWork& w) { work_ += w; }
+
   double comparisons() const { return comparisons_; }
+  const ReducerWork& work() const { return work_; }
   int64_t rows_emitted() const { return rows_emitted_; }
   /// First append error, or OK.
   const Status& status() const { return status_; }
@@ -202,6 +224,7 @@ class ReduceCollector {
  private:
   Relation* output_;
   double comparisons_ = 0;
+  ReducerWork work_;
   int64_t rows_emitted_ = 0;
   Status status_;
 };

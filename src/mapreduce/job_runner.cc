@@ -68,9 +68,9 @@ int64_t JobMeasurement::MaxReduceInputBytes() const {
   return mx;
 }
 
-StatusOr<double> RunReduceTask(const MapReduceJobSpec& spec,
-                               std::vector<MapOutputRecord>& records,
-                               Relation* output, bool presorted) {
+StatusOr<ReduceTaskTotals> RunReduceTask(const MapReduceJobSpec& spec,
+                                         std::vector<MapOutputRecord>& records,
+                                         Relation* output, bool presorted) {
   const int num_tags = static_cast<int>(spec.inputs.size());
   if (!presorted) {
     std::sort(records.begin(), records.end(),
@@ -99,7 +99,7 @@ StatusOr<double> RunReduceTask(const MapReduceJobSpec& spec,
     }
     i = j;
   }
-  return collector.comparisons();
+  return ReduceTaskTotals{collector.comparisons(), collector.work()};
 }
 
 StatusOr<PhysicalJobResult> RunJobPhysically(const MapReduceJobSpec& spec) {
@@ -188,10 +188,11 @@ StatusOr<PhysicalJobResult> RunJobPhysically(const MapReduceJobSpec& spec) {
     if (task_span.enabled()) {
       task_span.Arg("job", spec.name).Arg("task", static_cast<int64_t>(t));
     }
-    StatusOr<double> comparisons =
+    StatusOr<ReduceTaskTotals> totals =
         RunReduceTask(spec, task_records[t], result.output.get());
-    if (!comparisons.ok()) return comparisons.status();
-    m.reduce_comparisons_logical[t] = *comparisons;
+    if (!totals.ok()) return totals.status();
+    m.reduce_comparisons_logical[t] = totals->comparisons;
+    result.reducer_work += totals->work;
   }
   reduce_phase.End();
 

@@ -19,6 +19,15 @@ struct PhysicalJobResult {
   JobMeasurement metrics;
   int64_t spill_bytes = 0;
   int64_t spill_files = 0;
+  /// Σ ReducerWork of the committed reduce tasks (observability only).
+  ReducerWork reducer_work;
+};
+
+/// What one reduce task charged: its logical comparisons (simulated) and
+/// its physical reducer work (observability only).
+struct ReduceTaskTotals {
+  double comparisons = 0.0;
+  ReducerWork work;
 };
 
 /// \brief Executes the Map, shuffle and Reduce phases of `spec` faithfully
@@ -38,8 +47,9 @@ StatusOr<PhysicalJobResult> RunJobPhysically(const MapReduceJobSpec& spec);
 
 /// \brief Runs one reduce task: sorts `records` in place by (key, tag,
 /// row), groups by key, invokes spec.reduce per group into `output`, and
-/// returns the task's charged comparisons — or the first emit error, with
-/// its code preserved (kResourceExhausted for allocation failures).
+/// returns the task's charged comparisons and reducer work — or the first
+/// emit error, with its code preserved (kResourceExhausted for allocation
+/// failures).
 ///
 /// `presorted` skips the sort when the caller's records already arrive in
 /// (key, tag, row) order — the spill merge path (ShuffleSpool) produces
@@ -55,9 +65,10 @@ StatusOr<PhysicalJobResult> RunJobPhysically(const MapReduceJobSpec& spec);
 /// Shared by the sequential runner and the parallel runner
 /// (src/runtime/parallel_job_runner.cc) — one implementation is what keeps
 /// their outputs byte-identical (docs/RUNTIME.md determinism contract).
-StatusOr<double> RunReduceTask(const MapReduceJobSpec& spec,
-                               std::vector<MapOutputRecord>& records,
-                               Relation* output, bool presorted = false);
+StatusOr<ReduceTaskTotals> RunReduceTask(const MapReduceJobSpec& spec,
+                                         std::vector<MapOutputRecord>& records,
+                                         Relation* output,
+                                         bool presorted = false);
 
 }  // namespace mrtheta
 

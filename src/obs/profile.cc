@@ -88,6 +88,7 @@ QueryProfile BuildQueryProfile(const ExecutionResult& result) {
     jp.skew_residual_tasks = job.skew_residual_tasks;
     jp.skew_heavy_tasks = job.skew_heavy_tasks;
     jp.skew_heavy_groups = job.skew_heavy_groups;
+    jp.reducer_work = job.reducer_work;
     profile.jobs.push_back(std::move(jp));
   }
   return profile;
@@ -96,13 +97,18 @@ QueryProfile BuildQueryProfile(const ExecutionResult& result) {
 std::string QueryProfile::ToTable() const {
   TablePrinter table({"job", "name", "kind", "inputs", "kernel", "reducers",
                       "wall_s", "sim_s", "in_bytes", "shuffle_bytes",
-                      "out_rows", "retries", "spec", "spill", "skew"});
+                      "out_rows", "retries", "spec", "spill", "skew",
+                      "visited", "assembled", "rejects"});
   for (const JobExecutionProfile& jp : jobs) {
     const double sim_s = jp.sim_finish_seconds - jp.sim_release_seconds;
     std::string skew = jp.skew_heavy_tasks > 0
                            ? std::to_string(jp.skew_heavy_groups) + "g/" +
                                  std::to_string(jp.skew_heavy_tasks) + "t"
                            : "-";
+    const std::optional<ReducerWork>& work = jp.reducer_work;
+    auto work_cell = [&](int64_t ReducerWork::*field) {
+      return work ? TablePrinter::Int((*work).*field) : std::string("-");
+    };
     table.AddRow({"j" + std::to_string(jp.index), jp.name, jp.kind,
                   JoinInputs(jp.input_jobs), jp.kernel,
                   TablePrinter::Int(jp.reduce_tasks),
@@ -113,7 +119,9 @@ std::string QueryProfile::ToTable() const {
                   TablePrinter::Int(jp.task_retries),
                   TablePrinter::Int(jp.speculative_launches),
                   jp.spill_bytes > 0 ? TablePrinter::Int(jp.spill_bytes) : "-",
-                  skew});
+                  skew, work_cell(&ReducerWork::candidates_visited),
+                  work_cell(&ReducerWork::combinations_assembled),
+                  work_cell(&ReducerWork::ownership_rejects)});
   }
   std::ostringstream os;
   table.Print(os);
@@ -172,8 +180,17 @@ std::string QueryProfile::ToJson() const {
            ", \"skew_residual_tasks\": " +
            std::to_string(jp.skew_residual_tasks) +
            ", \"skew_heavy_tasks\": " + std::to_string(jp.skew_heavy_tasks) +
-           ", \"skew_heavy_groups\": " + std::to_string(jp.skew_heavy_groups) +
-           "}";
+           ", \"skew_heavy_groups\": " + std::to_string(jp.skew_heavy_groups);
+    const std::optional<ReducerWork>& work = jp.reducer_work;
+    auto work_field = [&](const char* key, int64_t ReducerWork::*field) {
+      out += std::string(", \"") + key + "\": " +
+             (work ? std::to_string((*work).*field) : "null");
+    };
+    work_field("candidates_visited", &ReducerWork::candidates_visited);
+    work_field("combinations_assembled",
+               &ReducerWork::combinations_assembled);
+    work_field("ownership_rejects", &ReducerWork::ownership_rejects);
+    out += "}";
   }
   out += "\n  ],\n";
   out += "  \"measured_seconds\": " + FormatDouble(measured_seconds) + ",\n";

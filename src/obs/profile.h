@@ -2,6 +2,7 @@
 #define MRTHETA_OBS_PROFILE_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -50,6 +51,10 @@ struct JobExecutionProfile {
   int skew_residual_tasks = 0;
   int skew_heavy_tasks = 0;
   int skew_heavy_groups = 0;
+  /// Hilbert reducer work (JobExecution::reducer_work): candidates
+  /// visited, combinations assembled, ownership rejects. Unset ("-") for
+  /// other job kinds.
+  std::optional<ReducerWork> reducer_work;
 };
 
 /// \brief Execution profile of one query: the per-job tree plus plan-wide

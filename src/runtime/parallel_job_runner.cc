@@ -479,6 +479,7 @@ StatusOr<PhysicalJobResult> RunJobParallel(
   // the records the failed attempt saw. Spilled tasks arrive pre-merged in
   // (key, tag, row) order and skip the reduce-side sort.
   m.reduce_comparisons_logical.assign(n, 0.0);
+  std::vector<ReducerWork> task_work(n);
   std::vector<Relation> task_outputs(n);
   TaskTimeTracker reduce_tracker;
   std::vector<Status> reduce_status(n);
@@ -487,7 +488,7 @@ StatusOr<PhysicalJobResult> RunJobParallel(
     reduce_phase.Arg("job", spec.name).Arg("tasks", static_cast<int64_t>(n));
   }
   pool.ParallelFor(n, [&](int64_t t) {
-    double comparisons = 0.0;
+    ReduceTaskTotals totals;
     Relation attempt_output;  // attempt-local until commit
     auto work = [&]() -> Status {
       attempt_output = Relation(spec.output_name, spec.output_schema);
@@ -500,14 +501,15 @@ StatusOr<PhysicalJobResult> RunJobParallel(
       // bucket is already charged by the spool.
       ScopedCharge charge(static_cast<int64_t>(merged.capacity()) *
                           static_cast<int64_t>(sizeof(MapOutputRecord)));
-      StatusOr<double> c = RunReduceTask(spec, *input->records,
-                                         &attempt_output, input->sorted);
+      StatusOr<ReduceTaskTotals> c = RunReduceTask(
+          spec, *input->records, &attempt_output, input->sorted);
       if (!c.ok()) return c.status();
-      comparisons = *c;
+      totals = *c;
       return Status::OK();
     };
     auto commit = [&]() {
-      m.reduce_comparisons_logical[t] = comparisons;
+      m.reduce_comparisons_logical[t] = totals.comparisons;
+      task_work[t] = totals.work;
       spool.ReleaseTask(static_cast<int>(t));
       task_outputs[t] = std::move(attempt_output);
     };
@@ -520,6 +522,7 @@ StatusOr<PhysicalJobResult> RunJobParallel(
   });
   reduce_phase.End();
   MRTHETA_RETURN_IF_ERROR(SelectTaskError(reduce_status));
+  for (const ReducerWork& w : task_work) result.reducer_work += w;
 
   // Concatenate task outputs in task order — the reference runner appends
   // reduce output to one relation in exactly this order — into an output

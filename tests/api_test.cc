@@ -553,6 +553,14 @@ TEST(AdmissionControlTest, QueuedSubmissionsRunFifoAndRecordWait) {
   options.executor.num_threads = 2;
   options.max_inflight_queries = 1;
   options.max_queue_depth = 8;
+  // Every task's first attempt stalls, so the head submission still holds
+  // the one slot when the next two arrive (admission is decided inside
+  // Submit): they queue however fast the query itself runs.
+  options.executor.fault_plan = FaultPlan{};
+  options.executor.fault_plan.seed = 72;
+  options.executor.fault_plan.straggler_rate = 1.0;
+  options.executor.fault_plan.straggler_delay_ms = 20.0;
+  options.executor.speculation.enabled = false;
   ThetaEngine engine(options);
   MobileDataOptions data;
   data.physical_rows = 80;

@@ -2,8 +2,10 @@
 // checked against the single-machine nested-loop oracle.
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <numeric>
+#include <ostream>
 #include <utility>
 
 #include <gtest/gtest.h>
@@ -130,23 +132,77 @@ struct HilbertCase {
   // Added to every value: large bases put keys where adjacent int64 values
   // share one double (above 2^53), so only int64-domain keys separate them.
   int64_t value_base = 0;
+  // The job's input k is relation input_order[k] (empty = identity): the
+  // depth order must not depend on how the inputs are listed.
+  std::vector<int> input_order = {};
+  // Column b holds doubles (quarter steps, every 7th row NaN), so
+  // conditions on b compare in the double domain.
+  bool double_b = false;
+  // Relations 0 and 1 enter as one intermediate input holding their cross
+  // product, so conditions between them sit on a single input.
+  bool pair_first_two = false;
 };
 
-// Nanosecond-epoch scale (~2023) and a negative extreme.
+void PrintTo(const HilbertCase& tc, std::ostream* os) { *os << tc.name; }
+
+// Nanosecond-epoch scale (~2023) and the ±2^62 extremes.
 constexpr int64_t kNsEpochBase = 1'700'000'000'000'000'000;
 constexpr int64_t kNegBase = -(int64_t{1} << 62);
+constexpr int64_t kPosBase = int64_t{1} << 62;
+
+// Column a as MakeRel; column b double with NaNs.
+RelationPtr MakeDoubleBRel(int64_t rows, int64_t key_range, uint64_t seed,
+                           int64_t base) {
+  auto rel = std::make_shared<Relation>(
+      "r", Schema({{"a", ValueType::kInt64}, {"b", ValueType::kDouble}}));
+  Rng rng(seed);
+  for (int64_t i = 0; i < rows; ++i) {
+    const int64_t a = base + static_cast<int64_t>(rng.Uniform(key_range));
+    const double b =
+        i % 7 == 3 ? std::numeric_limits<double>::quiet_NaN()
+                   : static_cast<double>(rng.Uniform(40)) * 0.25;
+    EXPECT_TRUE(rel->AppendRow({Value(a), Value(b)}).ok());
+  }
+  return rel;
+}
+
+// The rid intermediate of every (row of base x, row of base y) pair.
+RelationPtr CrossProductIntermediate(const std::vector<RelationPtr>& bases,
+                                     int x, int y) {
+  auto rel = std::make_shared<Relation>(
+      "pair", MakeIntermediateSchema({x, y}, bases));
+  for (int64_t i = 0; i < bases[x]->num_rows(); ++i) {
+    for (int64_t j = 0; j < bases[y]->num_rows(); ++j) {
+      rel->AppendIntRow({i, j});
+    }
+  }
+  return rel;
+}
 
 class HilbertJoinOracleTest : public ::testing::TestWithParam<HilbertCase> {};
 
+// Every case must equal the nested-loop oracle under both kernel policies,
+// through the production runner at 1 and 4 threads.
 TEST_P(HilbertJoinOracleTest, MatchesNaiveJoin) {
   const HilbertCase& tc = GetParam();
   std::vector<RelationPtr> bases;
   std::vector<int> indices;
-  MultiwayJoinJobSpec spec;
   for (int i = 0; i < tc.num_relations; ++i) {
-    bases.push_back(MakeRel("r", tc.rows, 50, 100 + i, tc.value_base));
+    bases.push_back(tc.double_b
+                        ? MakeDoubleBRel(tc.rows, 50, 100 + i, tc.value_base)
+                        : MakeRel("r", tc.rows, 50, 100 + i, tc.value_base));
     indices.push_back(i);
-    spec.inputs.push_back(JoinSide::ForBase(bases.back(), i));
+  }
+  std::vector<int> order = tc.input_order;
+  if (order.empty()) order = indices;
+  MultiwayJoinJobSpec spec;
+  for (int i : order) {
+    if (tc.pair_first_two && i == 1) continue;
+    spec.inputs.push_back(
+        tc.pair_first_two && i == 0
+            ? JoinSide::ForIntermediate(CrossProductIntermediate(bases, 0, 1),
+                                        {0, 1})
+            : JoinSide::ForBase(bases[i], i));
   }
   spec.base_relations = bases;
   spec.conditions = tc.conditions;
@@ -155,15 +211,48 @@ TEST_P(HilbertJoinOracleTest, MatchesNaiveJoin) {
   const auto oracle = NaiveMultiwayJoin(bases, indices, tc.conditions);
   ASSERT_TRUE(oracle.ok());
 
-  HilbertJoinPlanInfo info;
-  const auto job = BuildHilbertJoinJob(spec, &info);
-  ASSERT_TRUE(job.ok());
-  const auto result = RunJobPhysically(*job);
-  ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(SameRows(*oracle, *result->output))
-      << tc.name << ": hilbert " << result->output->num_rows()
-      << " rows vs naive " << oracle->num_rows();
+  for (const KernelPolicy policy :
+       {KernelPolicy::kAuto, KernelPolicy::kGenericOnly}) {
+    spec.kernel_policy = policy;
+    const auto job = BuildHilbertJoinJob(spec);
+    ASSERT_TRUE(job.ok()) << job.status().ToString();
+    for (const int threads : {1, 4}) {
+      ThreadPool pool(threads);
+      ParallelRunnerOptions options;
+      options.min_split_rows = 16;
+      const auto result = RunJobParallel(*job, pool, options);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_TRUE(SameRows(*oracle, *result->output))
+          << tc.name << " policy=" << static_cast<int>(policy)
+          << " threads=" << threads << ": hilbert "
+          << result->output->num_rows() << " rows vs naive "
+          << oracle->num_rows();
+    }
+  }
 }
+
+// a0 < a1 <= a0 + 20, written as (a1 - 20) <= a0: the two keys of a1 differ
+// by the folded offset, so their ranges are not intersected.
+const std::vector<JoinCondition> kBandOffsetConditions = {
+    {{0, 0}, ThetaOp::kLt, {1, 0}, 0.0, 0},
+    {{1, 0}, ThetaOp::kLe, {0, 0}, -20.0, 1}};
+// a0 - 20 < a1 <= a0: a1 is the rhs of one condition and the offset-free
+// lhs of the other, so both bound one sorted range.
+const std::vector<JoinCondition> kTwoSidedWindowConditions = {
+    {{0, 0}, ThetaOp::kLt, {1, 0}, -20.0, 0},
+    {{1, 0}, ThetaOp::kLe, {0, 0}, 0.0, 1}};
+// a0 - 5 < a1 < a0 + 5 as (a1 + 5) > a0 and (a1 - 5) < a0: two lhs keys
+// on one column with different offsets.
+const std::vector<JoinCondition> kTwoOffsetBandConditions = {
+    {{1, 0}, ThetaOp::kGt, {0, 0}, 5.0, 0},
+    {{1, 0}, ThetaOp::kLt, {0, 0}, -5.0, 1}};
+// Mobile Q1's shape: two bands between relations 0 and 1, two equalities
+// between relations 1 and 2 (the equality-linked pair is listed last).
+const std::vector<JoinCondition> kMobileQ1Conditions = {
+    {{0, 0}, ThetaOp::kLe, {1, 0}, 0.0, 0},
+    {{0, 1}, ThetaOp::kGe, {1, 1}, 0.0, 1},
+    {{1, 1}, ThetaOp::kEq, {2, 1}, 0.0, 2},
+    {{1, 0}, ThetaOp::kEq, {2, 0}, 0.0, 3}};
 
 INSTANTIATE_TEST_SUITE_P(
     Cases, HilbertJoinOracleTest,
@@ -197,26 +286,229 @@ INSTANTIATE_TEST_SUITE_P(
         HilbertCase{"star_eq", 3, 100, 12,
                     {{{0, 0}, ThetaOp::kEq, {1, 0}, 0.0, 0},
                      {{0, 0}, ThetaOp::kEq, {2, 0}, 0.0, 1}}},
-        // a0 < a1 <= a0 + 20, written as (a1 - 20) <= a0.
-        HilbertCase{"ns_epoch_band_offset", 2, 150, 8,
-                    {{{0, 0}, ThetaOp::kLt, {1, 0}, 0.0, 0},
-                     {{1, 0}, ThetaOp::kLe, {0, 0}, -20.0, 1}},
+        HilbertCase{"ns_epoch_band_offset", 2, 150, 8, kBandOffsetConditions,
                     kNsEpochBase},
         HilbertCase{"ns_epoch_chain3_lt", 3, 60, 8,
                     {{{0, 0}, ThetaOp::kLt, {1, 0}, 0.0, 0},
                      {{1, 0}, ThetaOp::kLt, {2, 0}, 0.0, 1}},
                     kNsEpochBase},
-        HilbertCase{"neg_2_62_band_offset", 2, 150, 8,
-                    {{{0, 0}, ThetaOp::kLt, {1, 0}, 0.0, 0},
-                     {{1, 0}, ThetaOp::kLe, {0, 0}, -20.0, 1}},
+        HilbertCase{"neg_2_62_band_offset", 2, 150, 8, kBandOffsetConditions,
                     kNegBase},
         HilbertCase{"neg_2_62_chain3_lt", 3, 60, 8,
                     {{{0, 0}, ThetaOp::kLt, {1, 0}, 0.0, 0},
                      {{1, 0}, ThetaOp::kLt, {2, 0}, 0.0, 1}},
-                    kNegBase}),
+                    kNegBase},
+        HilbertCase{"two_sided_window", 2, 150, 8,
+                    kTwoSidedWindowConditions},
+        HilbertCase{"ns_epoch_two_sided_window", 2, 150, 8,
+                    kTwoSidedWindowConditions, kNsEpochBase},
+        HilbertCase{"neg_2_62_two_sided_window", 2, 150, 8,
+                    kTwoSidedWindowConditions, kNegBase},
+        HilbertCase{"pos_2_62_two_sided_window", 2, 150, 8,
+                    kTwoSidedWindowConditions, kPosBase},
+        HilbertCase{"two_offset_band", 2, 150, 8, kTwoOffsetBandConditions},
+        HilbertCase{"ns_epoch_two_offset_band", 2, 150, 8,
+                    kTwoOffsetBandConditions, kNsEpochBase},
+        HilbertCase{"neg_2_62_two_offset_band", 2, 150, 8,
+                    kTwoOffsetBandConditions, kNegBase},
+        HilbertCase{"pos_2_62_two_offset_band", 2, 150, 8,
+                    kTwoOffsetBandConditions, kPosBase},
+        HilbertCase{"ne_with_eq_and_band", 3, 60, 12,
+                    {{{0, 1}, ThetaOp::kNe, {1, 1}, 0.0, 0},
+                     {{1, 0}, ThetaOp::kEq, {2, 0}, 0.0, 1},
+                     {{2, 1}, ThetaOp::kLe, {0, 1}, 2.0, 2}}},
+        HilbertCase{.name = "same_input_condition",
+                    .num_relations = 3,
+                    .rows = 25,
+                    .reduce_tasks = 8,
+                    .conditions = {{{0, 0}, ThetaOp::kLt, {1, 0}, 0.0, 0},
+                                   {{1, 1}, ThetaOp::kEq, {2, 1}, 0.0, 1},
+                                   {{2, 0}, ThetaOp::kGe, {0, 0}, 0.0, 2}},
+                    .input_order = {2, 0},
+                    .pair_first_two = true},
+        HilbertCase{.name = "double_band",
+                    .num_relations = 3,
+                    .rows = 60,
+                    .reduce_tasks = 8,
+                    .conditions = {{{0, 1}, ThetaOp::kLt, {1, 1}, 0.5, 0},
+                                   {{1, 1}, ThetaOp::kGe, {2, 1}, -0.75, 1},
+                                   {{2, 1}, ThetaOp::kLe, {1, 1}, 0.0, 2}},
+                    .double_b = true},
+        HilbertCase{.name = "double_eq_and_int_band_offset",
+                    .num_relations = 3,
+                    .rows = 60,
+                    .reduce_tasks = 8,
+                    .conditions = {{{0, 1}, ThetaOp::kEq, {1, 1}, 0.0, 0},
+                                   {{1, 0}, ThetaOp::kGt, {2, 0}, 0.5, 1}},
+                    .value_base = kNsEpochBase,
+                    .double_b = true},
+        HilbertCase{.name = "mobile_q1_shape_eq_last",
+                    .num_relations = 3,
+                    .rows = 80,
+                    .reduce_tasks = 12,
+                    .conditions = kMobileQ1Conditions},
+        HilbertCase{.name = "mobile_q1_shape_021",
+                    .num_relations = 3,
+                    .rows = 80,
+                    .reduce_tasks = 12,
+                    .conditions = kMobileQ1Conditions,
+                    .input_order = {0, 2, 1}},
+        HilbertCase{.name = "mobile_q1_shape_102",
+                    .num_relations = 3,
+                    .rows = 80,
+                    .reduce_tasks = 12,
+                    .conditions = kMobileQ1Conditions,
+                    .input_order = {1, 0, 2}},
+        HilbertCase{.name = "mobile_q1_shape_120",
+                    .num_relations = 3,
+                    .rows = 80,
+                    .reduce_tasks = 12,
+                    .conditions = kMobileQ1Conditions,
+                    .input_order = {1, 2, 0}},
+        HilbertCase{.name = "mobile_q1_shape_201",
+                    .num_relations = 3,
+                    .rows = 80,
+                    .reduce_tasks = 12,
+                    .conditions = kMobileQ1Conditions,
+                    .input_order = {2, 0, 1}},
+        HilbertCase{.name = "mobile_q1_shape_210",
+                    .num_relations = 3,
+                    .rows = 80,
+                    .reduce_tasks = 12,
+                    .conditions = kMobileQ1Conditions,
+                    .input_order = {2, 1, 0}},
+        HilbertCase{.name = "neg_2_62_mobile_q1_shape",
+                    .num_relations = 3,
+                    .rows = 80,
+                    .reduce_tasks = 12,
+                    .conditions = kMobileQ1Conditions,
+                    .value_base = kNegBase,
+                    .input_order = {2, 1, 0}},
+        HilbertCase{.name = "ns_epoch_mobile_q1_shape",
+                    .num_relations = 3,
+                    .rows = 80,
+                    .reduce_tasks = 12,
+                    .conditions = kMobileQ1Conditions,
+                    .value_base = kNsEpochBase}),
     [](const ::testing::TestParamInfo<HilbertCase>& param_info) {
       return param_info.param.name;
     });
+
+// Builds the Hilbert job over MakeRel relations 0..n-1 listed as
+// `input_order`.
+StatusOr<MapReduceJobSpec> BuildListedHilbertJob(
+    const std::vector<RelationPtr>& bases, const std::vector<int>& input_order,
+    const std::vector<JoinCondition>& conditions, KernelPolicy policy,
+    HilbertJoinPlanInfo* info = nullptr) {
+  MultiwayJoinJobSpec spec;
+  for (int i : input_order) {
+    spec.inputs.push_back(JoinSide::ForBase(bases[i], i));
+  }
+  spec.base_relations = bases;
+  spec.conditions = conditions;
+  spec.num_reduce_tasks = 12;
+  spec.kernel_policy = policy;
+  return BuildHilbertJoinJob(spec, info);
+}
+
+TEST(HilbertJoinTest, DepthOrderBindsEqualityLinkedInputsFirst) {
+  std::vector<RelationPtr> bases;
+  for (int i = 0; i < 4; ++i) bases.push_back(MakeRel("r", 20, 20, 40 + i));
+  auto depth_order = [&](const std::vector<int>& listed,
+                         const std::vector<JoinCondition>& conditions) {
+    HilbertJoinPlanInfo info;
+    EXPECT_TRUE(BuildListedHilbertJob(bases, listed, conditions,
+                                      KernelPolicy::kAuto, &info)
+                    .ok());
+    return info.depth_order;
+  };
+  // Mobile Q1: the equality-linked pair (relations 1, 2 = inputs 1, 2)
+  // binds first, then the band-linked relation 0.
+  EXPECT_EQ(depth_order({0, 1, 2}, kMobileQ1Conditions),
+            (std::vector<int>{1, 2, 0}));
+  // Listed as 2, 0, 1 the pair sits at inputs 0 and 2.
+  EXPECT_EQ(depth_order({2, 0, 1}, kMobileQ1Conditions),
+            (std::vector<int>{0, 2, 1}));
+  // Band-only chains keep the listed order.
+  const std::vector<JoinCondition> chain = {
+      {{0, 0}, ThetaOp::kLt, {1, 0}, 0.0, 0},
+      {{1, 0}, ThetaOp::kLt, {2, 0}, 0.0, 1}};
+  EXPECT_EQ(depth_order({0, 1, 2}, chain), (std::vector<int>{0, 1, 2}));
+  // Link strength: after input 0, the range-driving band to 2 beats the
+  // <> to 1; then 1 joins through its <> alone, and 3 (linked by nothing)
+  // comes last.
+  const std::vector<JoinCondition> mixed = {
+      {{0, 1}, ThetaOp::kNe, {1, 1}, 0.0, 0},
+      {{0, 0}, ThetaOp::kLe, {2, 0}, 0.0, 1}};
+  EXPECT_EQ(depth_order({0, 1, 2, 3}, mixed),
+            (std::vector<int>{0, 2, 1, 3}));
+  // The largest set linked by offset-free equalities, {1, 2, 3}, starts at
+  // its lowest input; the offset equality to 0 links like a band.
+  const std::vector<JoinCondition> offset_eq = {
+      {{0, 0}, ThetaOp::kEq, {1, 0}, 3.0, 0},
+      {{1, 0}, ThetaOp::kEq, {2, 0}, 0.0, 1},
+      {{2, 1}, ThetaOp::kEq, {3, 1}, 0.0, 2}};
+  EXPECT_EQ(depth_order({0, 1, 2, 3}, offset_eq),
+            (std::vector<int>{1, 2, 3, 0}));
+}
+
+// The comparison charge is each component's cross product, so neither the
+// kernel nor the order the inputs are listed in moves JobMeasurement —
+// although both change how many candidates the reducer visits.
+TEST(HilbertJoinTest, ComparisonChargeIsKernelAndOrderIndependent) {
+  std::vector<RelationPtr> bases;
+  for (int i = 0; i < 3; ++i) bases.push_back(MakeRel("r", 90, 12, 60 + i));
+  // One fused dimension (every input hashes column a), so each listing
+  // partitions the records identically.
+  const std::vector<JoinCondition> conditions = {
+      {{0, 0}, ThetaOp::kEq, {1, 0}, 0.0, 0},
+      {{1, 0}, ThetaOp::kEq, {2, 0}, 0.0, 1},
+      {{0, 1}, ThetaOp::kLe, {1, 1}, 0.0, 2},
+      {{2, 1}, ThetaOp::kGt, {1, 1}, 0.0, 3}};
+  std::vector<double> reference;
+  std::vector<int64_t> visits;
+  for (const std::vector<int>& listed :
+       {std::vector<int>{0, 1, 2}, std::vector<int>{2, 0, 1}}) {
+    for (const KernelPolicy policy :
+         {KernelPolicy::kAuto, KernelPolicy::kGenericOnly}) {
+      const auto job = BuildListedHilbertJob(bases, listed, conditions, policy);
+      ASSERT_TRUE(job.ok());
+      const auto result = RunJobPhysically(*job);
+      ASSERT_TRUE(result.ok());
+      const std::vector<double>& charged =
+          result->metrics.reduce_comparisons_logical;
+      if (reference.empty()) reference = charged;
+      EXPECT_EQ(charged, reference) << static_cast<int>(policy);
+      visits.push_back(result->reducer_work.candidates_visited);
+    }
+  }
+  EXPECT_LT(visits[0], visits[1]);  // the sorted ranges skip candidates
+}
+
+// Reducer work is counted per task and committed with it: the reference
+// runner and the production runner at any width count the same.
+TEST(HilbertJoinTest, ReducerWorkIsThreadCountInvariant) {
+  std::vector<RelationPtr> bases;
+  for (int i = 0; i < 3; ++i) bases.push_back(MakeRel("r", 80, 30, 70 + i));
+  const auto job = BuildListedHilbertJob(bases, {0, 1, 2}, kMobileQ1Conditions,
+                                         KernelPolicy::kAuto);
+  ASSERT_TRUE(job.ok());
+  const auto reference = RunJobPhysically(*job);
+  ASSERT_TRUE(reference.ok());
+  const ReducerWork& work = reference->reducer_work;
+  EXPECT_GT(work.candidates_visited, 0);
+  EXPECT_GE(work.combinations_assembled, reference->output->num_rows());
+  EXPECT_EQ(work.combinations_assembled - work.ownership_rejects,
+            reference->output->num_rows());
+  for (const int threads : {1, 4}) {
+    ThreadPool pool(threads);
+    ParallelRunnerOptions options;
+    options.min_split_rows = 16;
+    const auto result = RunJobParallel(*job, pool, options);
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(result->reducer_work, work) << "threads=" << threads;
+  }
+}
 
 TEST(HilbertJoinTest, SingleReducerStillCorrect) {
   RelationPtr a = MakeRel("a", 80, 20, 11);

@@ -14,8 +14,11 @@
 #include <filesystem>
 #include <future>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -423,6 +426,11 @@ class ChaosDifferentialTest : public ::testing::Test {
           EXPECT_TRUE(
               IdenticalMetrics(ref->jobs[j].metrics, result->jobs[j].metrics))
               << at << " job " << j;
+          // Reducer work commits with its task: retried and speculative
+          // attempts count once.
+          EXPECT_TRUE(ref->jobs[j].reducer_work ==
+                      result->jobs[j].reducer_work)
+              << at << " job " << j;
         }
         EXPECT_TRUE(IdenticalRelations(*ref->result_ids, *result->result_ids))
             << at;
@@ -483,11 +491,21 @@ TEST_F(ChaosDifferentialTest, TinyBudgetChaosIsInvisibleAndLeaksNoFiles) {
   // budget makes every task do so. Rows must stay byte-identical, and —
   // the cleanup satellite — no spill file may outlive any execution,
   // successful or failed. $MRTHETA_SPILL_DIR points every SpillDirectory
-  // of this test at a private root we can audit for leaks.
+  // of this test at a root private to this process (concurrent test runs
+  // must not audit or wipe each other's), removed on every exit path.
   namespace fs = std::filesystem;
   std::error_code ec;
   const fs::path root =
-      fs::temp_directory_path() / "mrtheta-fault-spill-audit";
+      fs::temp_directory_path() /
+      ("mrtheta-fault-spill-audit-" + std::to_string(getpid()));
+  struct RootGuard {
+    fs::path path;
+    ~RootGuard() {
+      unsetenv("MRTHETA_SPILL_DIR");
+      std::error_code ignored;
+      fs::remove_all(path, ignored);
+    }
+  } guard{root};
   fs::remove_all(root, ec);
   fs::create_directories(root, ec);
   ASSERT_FALSE(ec) << ec.message();
@@ -548,9 +566,6 @@ TEST_F(ChaosDifferentialTest, TinyBudgetChaosIsInvisibleAndLeaksNoFiles) {
   const auto failed = failing.Execute(*q, *plan);
   ASSERT_FALSE(failed.ok());
   EXPECT_TRUE(fs::is_empty(root, ec));
-
-  ASSERT_EQ(unsetenv("MRTHETA_SPILL_DIR"), 0);
-  fs::remove_all(root, ec);
 }
 
 // ---- Structured propagation through ThetaEngine ----

@@ -220,6 +220,16 @@ TEST(ExplainAnalyzeTest, ProfileMatchesJobMeasurementsExactly) {
     EXPECT_EQ(jp.task_retries, job.faults.task_retries);
     EXPECT_EQ(jp.speculative_launches, job.faults.speculative_launches);
     EXPECT_EQ(jp.skew_heavy_tasks, job.skew_heavy_tasks);
+    EXPECT_TRUE(jp.reducer_work == job.reducer_work);
+    // Reducer work is counted for Hilbert jobs only, and reconciles with
+    // the rows they emitted.
+    EXPECT_EQ(job.reducer_work.has_value(),
+              job.kind == PlanJobKind::kHilbertJoin);
+    if (job.reducer_work) {
+      EXPECT_EQ(job.reducer_work->combinations_assembled -
+                    job.reducer_work->ownership_rejects,
+                job.metrics.output_rows_physical);
+    }
   }
 
   // Both renderings mention every job by name and neither is empty.
@@ -230,6 +240,8 @@ TEST(ExplainAnalyzeTest, ProfileMatchesJobMeasurementsExactly) {
     EXPECT_NE(json.find("\"" + jp.name + "\""), std::string::npos);
   }
   EXPECT_NE(table.find("total:"), std::string::npos);
+  EXPECT_NE(table.find("visited"), std::string::npos);
+  EXPECT_NE(json.find("\"candidates_visited\""), std::string::npos);
 }
 
 TEST(ExplainAnalyzeTest, EngineEntryPointExecutesAndProfiles) {
