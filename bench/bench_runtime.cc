@@ -262,76 +262,6 @@ void RunPruneComparison(const Query& query, const QueryPlan& plan,
                                  static_cast<double>(shuffle[1])));
 }
 
-// Cost of the fault-tolerant execution path when nothing actually fails:
-// the SAME Q17 plan with the chaos machinery disabled ("q17_off") vs an
-// armed zero-rate FaultPlan ("q17_armed" — retry wrappers, injector
-// consultation, per-task commit buffers, all live but never firing).
-// Outputs and simulated metrics must be byte-identical — the process
-// aborts otherwise — so both records carry the same deterministic fields
-// and check_bench.py holds them to a tight per-workload tolerance
-// (docs/RUNTIME.md "Fault tolerance"). The wall-clock overhead itself is
-// printed but, like all measured times, exempt from the gate.
-void RunFaultOverhead(const Query& query, const QueryPlan& plan,
-                      ThetaEngine& engine,
-                      std::vector<RuntimeBenchRecord>& records) {
-  uint64_t fingerprints[2] = {0, 0};
-  SimTime makespans[2] = {0, 0};
-  double walls[2] = {0.0, 0.0};
-  const char* names[2] = {"q17_off", "q17_armed"};
-  for (int v = 0; v < 2; ++v) {
-    ExecutorOptions options = engine.options().executor;
-    options.num_threads = kMaxThreads;
-    options.fault_plan = FaultPlan{};  // env-independent: explicit plans
-    options.fault_plan.armed = v == 1;
-    MemoryBudget::Global().ResetPeak();
-    const auto result = engine.ExecutePlan(query, plan, options,
-                                           engine.options().execution_seed);
-    if (!result.ok()) {
-      std::fprintf(stderr, "fault_overhead %s failed: %s\n", names[v],
-                   result.status().ToString().c_str());
-      std::exit(1);
-    }
-    fingerprints[v] = OrderedRowsFingerprint(result->rows());
-    makespans[v] = result->makespan();
-    walls[v] = result->measured_seconds();
-    RuntimeBenchRecord rec;
-    rec.workload = "fault_overhead";
-    rec.query = names[v];
-    rec.threads = kMaxThreads;
-    rec.hardware_threads =
-        static_cast<int>(std::thread::hardware_concurrency());
-    rec.jobs = static_cast<int>(plan.jobs.size());
-    rec.wall_seconds = walls[v];
-    rec.sim_makespan_seconds = result->simulated_seconds();
-    rec.sim_shuffle_bytes = result->sim_shuffle_bytes();
-    rec.result_rows_physical = result->num_rows();
-    rec.sort_kernel_min_pairs = kSortKernelMinPairs;
-    rec.peak_mem_bytes = result->execution().peak_mem_bytes;
-    rec.spill_bytes = result->execution().spill_bytes;
-    records.push_back(rec);
-    std::printf("  %-8s %-10s wall=%7.3fs  rows=%lld\n", rec.workload.c_str(),
-                names[v], walls[v],
-                static_cast<long long>(rec.result_rows_physical));
-    std::fflush(stdout);
-  }
-  if (fingerprints[0] != fingerprints[1] || makespans[0] != makespans[1]) {
-    std::fprintf(stderr,
-                 "fault_overhead: armed zero-rate run diverged from the "
-                 "plain run (fingerprint %llx vs %llx, makespan %lld vs "
-                 "%lld) — the chaos path must be invisible when no fault "
-                 "fires\n",
-                 static_cast<unsigned long long>(fingerprints[0]),
-                 static_cast<unsigned long long>(fingerprints[1]),
-                 static_cast<long long>(makespans[0]),
-                 static_cast<long long>(makespans[1]));
-    std::exit(1);
-  }
-  if (walls[0] > 0.0) {
-    std::printf("  fault_overhead q17 armed-path overhead: %+.1f%%\n",
-                100.0 * (walls[1] / walls[0] - 1.0));
-  }
-}
-
 // Cost of span tracing on a hot execution path: the SAME Q17 plan with
 // tracing disabled ("q17_untraced") vs a live TraceSession collecting
 // every span ("q17_traced"). Outputs and simulated metrics must be
@@ -343,7 +273,7 @@ void RunFaultOverhead(const Query& query, const QueryPlan& plan,
 // The overhead gate carries an absolute floor: on this ~40ms workload the
 // true span cost is ~30us/run (95 spans x ~300ns), i.e. < 0.1% — while
 // shared-runner noise on identical code paths routinely exceeds 3%
-// relative (the fault_overhead pair shows it). Failing needs BOTH >3%
+// relative. Failing needs BOTH >3%
 // relative AND >2ms absolute, which only a real per-task/per-row
 // instrumentation regression can produce.
 void RunTraceOverhead(const Query& query, const QueryPlan& plan,
@@ -719,9 +649,6 @@ int Main(int argc, char** argv) {
   if (!mobile_plan.ok()) return 1;
   RunScalingCurve({"mobile", "q1_4k", *mobile, *mobile_plan}, engine,
                   records);
-
-  // ---- Fault-tolerance machinery overhead on the Q17 plan ----
-  RunFaultOverhead(*q17, *q17_plan, engine, records);
 
   // ---- Span-tracing overhead on the Q17 plan ----
   RunTraceOverhead(*q17, *q17_plan, engine, records);

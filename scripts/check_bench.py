@@ -54,13 +54,10 @@ SPECS = {
         },
         # wall_seconds / speedup_vs_1t / hardware_threads are measured.
         # Per-workload tolerance tightening (keyed by the record's
-        # "workload" field). The fault_overhead pair executes one plan with
-        # the chaos machinery off vs armed at zero rates, and the
-        # trace_overhead pair the same plan untraced vs traced; their
-        # simulated metrics are deterministic and must not drift, so both
-        # are held to 2% instead of the default 25%.
-        "tolerance_overrides": {"fault_overhead": 0.02,
-                                "trace_overhead": 0.02},
+        # "workload" field). The trace_overhead pair executes one plan
+        # untraced vs traced; its simulated metrics are deterministic and
+        # must not drift, so it is held to 2% instead of the default 25%.
+        "tolerance_overrides": {"trace_overhead": 0.02},
         # Fields every *current* record must carry, even when the value is
         # informational: a bench that silently stops emitting them has
         # disarmed part of the gate. trace_overhead is the span-tracing
@@ -268,9 +265,9 @@ def self_test():
                                      sim_makespan_seconds=6.0)}, None),
         ("tolerance override tightens",
          {"BENCH_runtime.json": deep(runtime_base,
-                                     workload="fault_overhead")},
+                                     workload="trace_overhead")},
          {"BENCH_runtime.json": deep(runtime_base,
-                                     workload="fault_overhead",
+                                     workload="trace_overhead",
                                      sim_makespan_seconds=10.5)},
          r"tolerance 2%"),
         ("missing record fails",

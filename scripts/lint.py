@@ -30,6 +30,12 @@ Rules (docs/STATIC_ANALYSIS.md):
                   production runner (RunJobParallel) against, and a
                   production caller would be a second execution path the
                   chaos, spill and tracing machinery never sees.
+  one-task-path   src/ must not name FaultInjector outside
+                  src/runtime/fault_injection.{h,cc} and
+                  src/runtime/parallel_job_runner.cc: the runner builds
+                  the injector from a FaultPlan and runs every task through
+                  one restartable-task loop, so no caller can fork task
+                  behaviour on a fault plan.
   join-domain     src/exec/ must not call GetDouble( outside
                   src/exec/join_side.cc (whose map-side filters compare a
                   column against a double literal by design): join keys
@@ -67,6 +73,9 @@ MUTEX_EXEMPT = ("src/common/thread_annotations.h",
                 "src/common/thread_annotations.cc")
 REFERENCE_RUNNER_HOME = ("src/mapreduce/job_runner.h",
                          "src/mapreduce/job_runner.cc")
+TASK_PATH_HOME = ("src/runtime/fault_injection.h",
+                  "src/runtime/fault_injection.cc",
+                  "src/runtime/parallel_job_runner.cc")
 JOIN_DOMAIN_DIR = "src/exec/"
 JOIN_DOMAIN_EXEMPT = ("src/exec/join_side.cc",)
 # The linter's own rule messages and self-test fixtures spell out the
@@ -80,6 +89,7 @@ RE_NAKED_MUTEX = re.compile(
     r"std::(?:mutex|condition_variable|lock_guard|unique_lock|scoped_lock)"
     r"(?![A-Za-z0-9_])")
 RE_REFERENCE_RUNNER = re.compile(r"(?<![A-Za-z0-9_])RunJobPhysically\b")
+RE_FAULT_INJECTOR = re.compile(r"(?<![A-Za-z0-9_])FaultInjector\b")
 RE_GET_DOUBLE = re.compile(r"(?<![A-Za-z0-9_])GetDouble\s*\(")
 RE_TODO = re.compile(r"\bTODO\b")
 RE_TODO_TAGGED = re.compile(r"\bTODO\(#\d+\)")
@@ -166,6 +176,11 @@ def lint_tree(root):
                                  "RunJobPhysically is the test reference; "
                                  "production code runs jobs through "
                                  "RunJobParallel"))
+            if (rel not in TASK_PATH_HOME and
+                    RE_FAULT_INJECTOR.search(line)):
+                findings.append((rel, lineno, "one-task-path",
+                                 "FaultInjector belongs to the runner; pass "
+                                 "a FaultPlan in ParallelRunnerOptions"))
             if (rel.startswith(JOIN_DOMAIN_DIR) and
                     rel not in JOIN_DOMAIN_EXEMPT and
                     RE_GET_DOUBLE.search(line)):
@@ -235,6 +250,17 @@ SELF_TEST_CASES = [
     ("src/mapreduce/job_runner.cc",
      'StatusOr<PhysicalJobResult> RunJobPhysically(const Spec& s);\n',
      set()),
+    ("src/core/chaos_fork.cc",
+     '// FaultInjector in a comment is fine\n'
+     'const FaultInjector injector(plan);\n'  # line 2: one-task-path
+     'MyFaultInjectorish x;\n',
+     {(2, "one-task-path")}),
+    ("src/runtime/parallel_job_runner.cc",
+     'const FaultInjector injector;\n',  # the runner owns it
+     set()),
+    ("src/runtime/parallel_job_runner.h",
+     'const FaultInjector* injector = nullptr;\n',  # line 1: header too
+     {(1, "one-task-path")}),
     ("src/exec/range_join.cc",
      '// GetDouble( in a comment is fine\n'
      'double v = base.GetDouble(row, col);\n'  # line 2: join-domain

@@ -76,10 +76,7 @@ std::string EngineOptions::ToString() const {
   if (mem_budget_bytes > 0) {
     out += ", mem_budget=" + std::to_string(mem_budget_bytes);
   }
-  if (executor.fault_plan.enabled()) {
-    out += ", " + executor.fault_plan.ToString();
-  }
-  out += "}";
+  out += ", " + executor.fault_plan.ToString() + "}";
   return out;
 }
 

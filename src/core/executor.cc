@@ -120,13 +120,10 @@ StatusOr<ExecutionResult> Executor::RunOn(ThreadPool& pool,
   // its sequential shuffle merge) is transient. See docs/RUNTIME.md.
   const int num_threads = pool.num_threads();
 
-  // Fault-tolerance machinery (docs/RUNTIME.md "Fault tolerance"). The
-  // plan-level token chains to the caller's (ThetaEngine::Submit) token;
-  // it is cancelled on the first real job failure so in-flight sibling
-  // jobs stop at their next task boundary instead of finishing doomed
-  // work.
-  const bool chaos = options_.fault_plan.enabled();
-  const FaultInjector injector(options_.fault_plan);
+  // The plan-level cancellation token chains to the caller's
+  // (ThetaEngine::Submit) token; it is cancelled on the first real job
+  // failure so in-flight sibling jobs stop at their next task boundary
+  // instead of finishing doomed work (docs/RUNTIME.md "Fault tolerance").
   CancellationToken plan_cancel(options_.cancel_token);
 
   // Memory budget (docs/MEMORY.md): an explicit option wins; 0 inherits the
@@ -248,11 +245,9 @@ StatusOr<ExecutionResult> Executor::RunOn(ThreadPool& pool,
     const auto job_start = std::chrono::steady_clock::now();
     FaultReport job_faults;
     ParallelRunnerOptions popts;
-    if (chaos) {
-      popts.injector = &injector;
-      popts.retry = options_.retry;
-      popts.speculation = options_.speculation;
-    }
+    popts.fault_plan = options_.fault_plan;
+    popts.retry = options_.retry;
+    popts.speculation = options_.speculation;
     popts.cancel = &plan_cancel;
     popts.fault_report = &job_faults;
     if (budgeted) {
@@ -336,9 +331,9 @@ StatusOr<ExecutionResult> Executor::RunOn(ThreadPool& pool,
   const auto plan_start = std::chrono::steady_clock::now();
   MRTHETA_RETURN_IF_ERROR(RunDag(deps, num_threads, run_job));
   result.measured_seconds = SecondsSince(plan_start);
+  result.fault_report = plan_faults;  // every job body has joined
   for (const JobExecution& exec : result.jobs) {
     result.sim_shuffle_bytes += exec.metrics.map_output_bytes_logical;
-    result.fault_report.Merge(exec.faults);
     result.spill_bytes += exec.spill_bytes;
     result.spill_files += exec.spill_files;
   }

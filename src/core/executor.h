@@ -44,8 +44,8 @@ struct JobExecution {
   int skew_heavy_tasks = 0;
   int skew_heavy_groups = 0;
   /// Fault-tolerance accounting of this job (injected faults, retries,
-  /// speculative launches, wasted attempt time). All zero on the fault-free
-  /// fast path; observability only — never feeds results or timing.
+  /// speculative launches, wasted attempt time). All zero when the fault
+  /// plan never fires; observability only — never feeds results or timing.
   FaultReport faults;
   /// Shuffle bytes/files this job spilled to disk under a memory budget
   /// (docs/MEMORY.md). Observability only — simulated metrics are
@@ -119,12 +119,13 @@ struct ExecutorOptions {
   /// Deterministic chaos plan (docs/RUNTIME.md "Fault tolerance"). The
   /// default picks up $MRTHETA_FAULT_PLAN, so any workload can run under
   /// reproducible chaos with no code changes — the CI chaos job sets
-  /// exactly that. When enabled, the runner's tasks become restartable;
-  /// outputs and simulated metrics are unchanged as long as no task
-  /// exhausts its retries.
+  /// exactly that. Every task runs the runner's one restartable loop, so
+  /// the plan only decides which faults fire; outputs and simulated
+  /// metrics are unchanged as long as no task exhausts its retries.
   FaultPlan fault_plan = FaultPlan::FromEnvironment();
-  /// Retry + straggler-speculation policies; consulted only under an
-  /// enabled fault_plan.
+  /// Retry policy for injected failures and attempt timeouts, and the
+  /// straggler-speculation policy for injected delays; both are passed to
+  /// every job (a plan that never fires never consults them).
   RetryPolicy retry;
   SpeculationPolicy speculation;
   /// Optional external cancellation (e.g. a ThetaEngine::Submit token).

@@ -68,7 +68,6 @@ Status FaultPlan::Validate() const {
 }
 
 std::string FaultPlan::ToString() const {
-  if (!enabled()) return "FaultPlan{disabled}";
   return "FaultPlan{seed=" + std::to_string(seed) +
          ", map=" + std::to_string(map_failure_rate) +
          ", reduce=" + std::to_string(reduce_failure_rate) +
@@ -79,8 +78,6 @@ std::string FaultPlan::ToString() const {
 
 StatusOr<FaultPlan> FaultPlan::Parse(const std::string& text) {
   FaultPlan plan;
-  if (text.empty()) return plan;
-  plan.armed = true;  // an explicitly spelled plan engages the chaos path
   size_t pos = 0;
   while (pos < text.size()) {
     size_t end = text.find(',', pos);
@@ -114,8 +111,6 @@ StatusOr<FaultPlan> FaultPlan::Parse(const std::string& text) {
       plan.straggler_rate = num;
     } else if (key == "delay_ms") {
       plan.straggler_delay_ms = num;
-    } else if (key == "armed") {
-      plan.armed = num != 0.0;
     } else {
       return Status::InvalidArgument("unknown fault plan key '" + key + "'");
     }

@@ -26,9 +26,10 @@ const char* FaultPointName(FaultPoint point);
 
 /// \brief Seeded, deterministic chaos configuration (docs/RUNTIME.md
 /// "Fault tolerance"). All rates are per (task, attempt) probabilities in
-/// [0, 1]. Straggler delays model a slow machine slot, so they are only
-/// injected on a task's FIRST attempt — a retry or speculative copy runs
-/// "elsewhere" and is never re-delayed.
+/// [0, 1]; the default all-zero plan never fires, and every task runs the
+/// same restartable loop under it. Straggler delays model a slow machine
+/// slot, so they are only injected on a task's FIRST attempt — a retry or
+/// speculative copy runs "elsewhere" and is never re-delayed.
 ///
 /// A FaultPlan can also be armed process-wide through the environment
 /// variable MRTHETA_FAULT_PLAN (comma-separated key=value pairs, e.g.
@@ -43,34 +44,27 @@ struct FaultPlan {
   double alloc_failure_rate = 0.0;    ///< kMapAlloc / kReduceAlloc
   double straggler_rate = 0.0;        ///< kMapStraggler / kReduceStraggler
   double straggler_delay_ms = 20.0;   ///< injected delay per straggler
-  /// Forces the fault-tolerant execution path (retry wrappers, injector
-  /// consultation) even with all rates at zero — the configuration
-  /// bench_runtime's fault_overhead record measures.
-  bool armed = false;
-
-  /// True when any fault can fire or the plan is explicitly armed.
-  bool enabled() const {
-    return armed || map_failure_rate > 0.0 || reduce_failure_rate > 0.0 ||
-           alloc_failure_rate > 0.0 || straggler_rate > 0.0;
-  }
 
   Status Validate() const;
   std::string ToString() const;
 
   /// Parses "key=value,key=value" (keys: seed, map, reduce, alloc,
-  /// straggler, delay_ms, armed). Empty string = disabled default plan.
+  /// straggler, delay_ms). Empty string = the all-zero default plan.
   static StatusOr<FaultPlan> Parse(const std::string& text);
   /// The process-wide default from $MRTHETA_FAULT_PLAN (parsed once,
   /// cached; aborts on a malformed value — a chaos CI job must never
-  /// silently run fault-free). Disabled plan when the variable is unset.
+  /// silently run fault-free). All-zero plan when the variable is unset.
   static const FaultPlan& FromEnvironment();
 };
 
 /// Retry policy for restartable tasks (map splits, reduce partitions).
 struct RetryPolicy {
-  /// Total launches a task may consume on *failures* (injected faults,
-  /// allocation failures, real task errors, hard timeouts). Speculative
-  /// re-executions of healthy-but-slow tasks do not consume this budget.
+  /// Total launches a task may consume on failures a re-run can change:
+  /// injected crashes, injected allocation failures and hard timeouts. A
+  /// real task error (or a cancellation) returns at once — the task is a
+  /// deterministic function of its committed inputs, so a re-run would
+  /// fail the same way. Speculative re-executions of healthy-but-slow
+  /// tasks do not consume this budget.
   int max_attempts = 6;
   /// Exponential backoff between failed attempts:
   /// min(base * multiplier^k, max). Defaults are tiny — the in-process

@@ -87,12 +87,18 @@ class TaskTimeTracker {
   std::vector<double> durations_ MRTHETA_GUARDED_BY(mu_);
 };
 
-/// Shared state of one job execution under (possible) faults.
+/// Shared state of one job execution's restartable tasks.
 struct FaultContext {
-  const FaultInjector* injector = nullptr;  ///< null = fault-free fast path
-  RetryPolicy retry;
-  SpeculationPolicy speculation;
-  const CancellationToken* external_cancel = nullptr;
+  explicit FaultContext(const ParallelRunnerOptions& options)
+      : injector(options.fault_plan),
+        retry(options.retry),
+        speculation(options.speculation),
+        external_cancel(options.cancel) {}
+
+  const FaultInjector injector;
+  const RetryPolicy retry;
+  const SpeculationPolicy speculation;
+  const CancellationToken* const external_cancel;
   /// Set on the first unrecoverable task failure so sibling tasks stop at
   /// their next boundary instead of burning retries on doomed work.
   CancellationToken job_cancel;
@@ -139,8 +145,8 @@ struct FaultContext {
   }
 };
 
-/// \brief Runs one restartable task (a map split or a reduce partition)
-/// under the fault plan.
+/// \brief Runs one restartable task (a map split or a reduce partition):
+/// the one attempt loop every task runs, with or without a fault plan.
 ///
 /// Contract: `work` produces into attempt-local buffers only and must be
 /// safe to re-run from scratch; `commit` publishes those buffers into the
@@ -149,15 +155,18 @@ struct FaultContext {
 /// nothing, which is what makes re-execution invisible in the output and
 /// the simulated metrics (docs/RUNTIME.md determinism contract).
 ///
-/// Failure handling: injected allocation faults (kResourceExhausted),
-/// injected task crashes (kAborted), hard attempt timeouts
-/// (kDeadlineExceeded) and real `work` errors all consume the retry budget
-/// and back off exponentially between attempts. Attempts straggling past
-/// the tracker's median-derived deadline are abandoned and relaunched as
-/// speculative copies, which consume no retry budget — and, by the
-/// slow-slot model (delays fire only on attempt 0), are never re-delayed,
-/// so speculation always terminates. On retry exhaustion the task cancels
-/// its siblings and returns the last failure's code.
+/// Failure handling: the retry budget counts only failures a re-run can
+/// change — injected allocation faults (kResourceExhausted), injected task
+/// crashes (kAborted) and hard attempt timeouts (kDeadlineExceeded) — with
+/// exponential backoff between attempts. A real `work` error, or a
+/// cancellation seen inside `work`, returns at once and counts nothing:
+/// `work` is a deterministic function of committed inputs. Attempts
+/// straggling past the tracker's median-derived deadline are abandoned and
+/// relaunched as speculative copies, which consume no retry budget — and,
+/// by the slow-slot model (delays fire only on attempt 0), are never
+/// re-delayed, so speculation always terminates. On retry exhaustion the
+/// task returns the last failure's code; the caller cancels its siblings
+/// on any non-cancelled failure.
 Status RunRestartableTask(FaultContext& ctx, const std::string& job,
                           FaultPoint alloc_point, FaultPoint task_point,
                           FaultPoint straggler_point, int64_t task,
@@ -166,16 +175,7 @@ Status RunRestartableTask(FaultContext& ctx, const std::string& job,
                           const std::function<void()>& commit) {
   const bool is_map = task_point == FaultPoint::kMapTask;
   const char* span_name = is_map ? "map-task" : "reduce-task";
-  if (ctx.injector == nullptr) {
-    // Fault-free fast path; cancellation still honored at the boundary.
-    if (ctx.Cancelled()) return ctx.CancelledStatus(job);
-    TraceSpan span(span_name, "runtime");
-    if (span.enabled()) span.Arg("job", job).Arg("task", task);
-    Status s = work();
-    if (s.ok()) commit();
-    return s;
-  }
-  const FaultInjector& injector = *ctx.injector;
+  const FaultInjector& injector = ctx.injector;
   int attempt = 0;   // hash-stream index: distinct per launch, incl. copies
   int failures = 0;  // retry budget: failed attempts only
   for (;;) {
@@ -189,7 +189,7 @@ Status RunRestartableTask(FaultContext& ctx, const std::string& job,
           .Flow(TaskFlowId(job, is_map ? "map" : "reduce", task));
     }
     const Clock::time_point start = Clock::now();
-    Status attempt_status;
+    Status attempt_status;  // an injected fault or a timeout: retryable
 
     if (injector.ShouldFail(alloc_point, job, task, attempt)) {
       ctx.CountInjected();
@@ -246,9 +246,11 @@ Status RunRestartableTask(FaultContext& ctx, const std::string& job,
     }
 
     if (attempt_status.ok()) {
-      attempt_status = work();
-      if (attempt_status.ok() &&
-          injector.ShouldFail(task_point, job, task, attempt)) {
+      if (Status s = work(); !s.ok()) {
+        span.Arg("outcome", "failed");
+        return s;
+      }
+      if (injector.ShouldFail(task_point, job, task, attempt)) {
         // The modeled crash happens after the work but before the commit,
         // so the attempt's buffers are discarded like a real lost task's.
         ctx.CountInjected();
@@ -270,7 +272,6 @@ Status RunRestartableTask(FaultContext& ctx, const std::string& job,
     ctx.CountWasted(SecondsSince(start));
     ++failures;
     if (failures >= ctx.retry.max_attempts) {
-      ctx.job_cancel.Cancel();
       return Status::WithCode(
           attempt_status.code(),
           "task " + std::to_string(task) + " of job '" + job +
@@ -320,18 +321,11 @@ StatusOr<PhysicalJobResult> RunJobParallel(
   if (spec.num_reduce_tasks < 1) {
     return Status::InvalidArgument("num_reduce_tasks must be >= 1");
   }
-  if (options.injector != nullptr) {
-    MRTHETA_RETURN_IF_ERROR(options.injector->plan().Validate());
-    MRTHETA_RETURN_IF_ERROR(options.retry.Validate());
-    MRTHETA_RETURN_IF_ERROR(options.speculation.Validate());
-  }
+  MRTHETA_RETURN_IF_ERROR(options.fault_plan.Validate());
+  MRTHETA_RETURN_IF_ERROR(options.retry.Validate());
+  MRTHETA_RETURN_IF_ERROR(options.speculation.Validate());
 
-  FaultContext ctx;
-  ctx.injector = options.injector;
-  ctx.retry = options.retry;
-  ctx.speculation = options.speculation;
-  ctx.external_cancel = options.cancel;
-  const bool chaos = options.injector != nullptr;
+  FaultContext ctx(options);
   const bool budgeted =
       options.spill_dir != nullptr && options.mem_budget_bytes > 0;
   // Publishes the fault accounting on every return path below. Each one
@@ -390,8 +384,7 @@ StatusOr<PhysicalJobResult> RunJobParallel(
               spec.EmitsPerRow(split.tag)));
           for (int64_t row = split.begin; row < split.end; ++row) {
             // Long map scans honor cancellation without per-row cost.
-            if (chaos && ((row - split.begin) & 1023) == 0 &&
-                ctx.Cancelled()) {
+            if (((row - split.begin) & 1023) == 0 && ctx.Cancelled()) {
               return ctx.CancelledStatus(spec.name);
             }
             spec.map(split.tag, rel, row, emitter);

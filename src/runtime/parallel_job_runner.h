@@ -19,17 +19,17 @@ struct ParallelRunnerOptions {
   int64_t min_split_rows = 1024;
   /// Target number of map splits per pool thread per input.
   int splits_per_thread = 4;
-  /// Deterministic chaos oracle (docs/RUNTIME.md "Fault tolerance"). Null
-  /// keeps the fault-free fast path: no retry wrappers, no attempt-local
-  /// buffer moves. Not owned; must outlive the call.
-  const FaultInjector* injector = nullptr;
-  /// Retry policy for restartable tasks; consulted only with an injector.
+  /// Deterministic chaos plan (docs/RUNTIME.md "Fault tolerance"); the
+  /// runner builds its FaultInjector from it. The all-zero default never
+  /// fires, so every task still runs the one restartable-task loop.
+  FaultPlan fault_plan;
+  /// Retry policy for injected failures and attempt timeouts.
   RetryPolicy retry;
-  /// Straggler-mitigation policy; consulted only with an injector.
+  /// Straggler-mitigation policy for injected slow-slot delays.
   SpeculationPolicy speculation;
   /// Optional external cancellation (e.g. a ThetaEngine::Submit token),
-  /// honored at task boundaries and inside interruptible waits even on the
-  /// fault-free path. Not owned; must outlive the call.
+  /// honored at task boundaries, every 1024 rows of a map scan, and inside
+  /// interruptible waits. Not owned; must outlive the call.
   const CancellationToken* cancel = nullptr;
   /// When set, the job's fault-tolerance accounting (injected faults,
   /// retries, speculative launches, wasted attempt time) is merged into it
@@ -67,17 +67,19 @@ struct ParallelRunnerOptions {
 ///    never-spilled shuffle bucket in place and collecting into a private
 ///    output relation; task outputs are concatenated in task order.
 ///
-/// Fault tolerance: with `options.injector` set, map splits and reduce
-/// partitions become restartable units — each attempt works into fresh
-/// attempt-local buffers that are committed only on success, failed
-/// attempts are retried with exponential backoff up to
-/// `options.retry.max_attempts`, and attempts straggling past a
-/// median-derived deadline are abandoned and speculatively re-executed
-/// (docs/RUNTIME.md "Fault tolerance"). A task that exhausts its retry
-/// budget cancels its sibling tasks and surfaces the last failure's code
-/// (kAborted / kResourceExhausted / kDeadlineExceeded); the job-level
-/// error is the lowest-index task's non-cancelled failure, so concurrent
-/// failures report deterministically.
+/// Fault tolerance: every map split and reduce partition is a restartable
+/// task, run by one attempt loop whatever `options.fault_plan` says — each
+/// attempt works into fresh attempt-local buffers that are committed only
+/// on success. Failures a re-run can change (injected crashes, injected
+/// allocation failures, attempt timeouts) are retried with exponential
+/// backoff up to `options.retry.max_attempts`, and attempts straggling past
+/// a median-derived deadline are abandoned and speculatively re-executed
+/// (docs/RUNTIME.md "Fault tolerance"). A real task error or a cancellation
+/// returns at once. A task that exhausts its retry budget surfaces the last
+/// failure's code (kAborted / kResourceExhausted / kDeadlineExceeded); any
+/// failed task cancels its siblings, and the job-level error is the
+/// lowest-index task's non-cancelled failure, so concurrent failures report
+/// deterministically.
 ///
 /// Determinism contract (tested by tests/runtime_test.cc and
 /// tests/fault_test.cc): for any spec, any pool size, and any FaultPlan

@@ -522,7 +522,7 @@ TEST(AdmissionControlTest, RejectsBeyondQueueDepth) {
   options.executor.fault_plan = FaultPlan{};
   options.executor.fault_plan.seed = 71;
   options.executor.fault_plan.straggler_rate = 1.0;
-  options.executor.fault_plan.straggler_delay_ms = 300.0;
+  options.executor.fault_plan.straggler_delay_ms = 20.0;
   options.executor.speculation.enabled = false;
   ThetaEngine engine(options);
   MobileDataOptions data;

@@ -51,26 +51,21 @@ TEST(FaultPlanTest, ParsesKeyValuePlans) {
   EXPECT_DOUBLE_EQ(plan->reduce_failure_rate, 0.2);
   EXPECT_DOUBLE_EQ(plan->straggler_rate, 0.05);
   EXPECT_DOUBLE_EQ(plan->straggler_delay_ms, 2.0);
-  EXPECT_TRUE(plan->armed);
-  EXPECT_TRUE(plan->enabled());
 
-  // An explicitly armed zero-rate plan engages the chaos machinery — the
-  // configuration the fault_overhead bench record measures.
-  const auto armed = FaultPlan::Parse("seed=1,armed=1");
-  ASSERT_TRUE(armed.ok());
-  EXPECT_TRUE(armed->enabled());
-  EXPECT_DOUBLE_EQ(armed->map_failure_rate, 0.0);
-
-  // Empty = the disabled default.
+  // Empty = the all-zero default, a plan that never fires.
   const auto empty = FaultPlan::Parse("");
   ASSERT_TRUE(empty.ok());
-  EXPECT_FALSE(empty->enabled());
+  EXPECT_DOUBLE_EQ(empty->map_failure_rate, 0.0);
+  EXPECT_DOUBLE_EQ(empty->reduce_failure_rate, 0.0);
+  EXPECT_DOUBLE_EQ(empty->alloc_failure_rate, 0.0);
+  EXPECT_DOUBLE_EQ(empty->straggler_rate, 0.0);
 }
 
 TEST(FaultPlanTest, RejectsMalformedPlans) {
   EXPECT_FALSE(FaultPlan::Parse("map").ok());         // no '='
   EXPECT_FALSE(FaultPlan::Parse("map=zebra").ok());   // not a number
   EXPECT_FALSE(FaultPlan::Parse("turbo=1").ok());     // unknown key
+  EXPECT_FALSE(FaultPlan::Parse("armed=1").ok());     // no such knob
   EXPECT_FALSE(FaultPlan::Parse("map=1.5").ok());     // out of [0, 1]
   EXPECT_FALSE(FaultPlan::Parse("delay_ms=-1").ok());
 }
@@ -178,9 +173,7 @@ RelationPtr MakeRel(const char* name, int64_t rows, int64_t key_range,
   return rel;
 }
 
-MapReduceJobSpec SmallEquiJoinSpec() {
-  static const RelationPtr a = MakeRel("a", 200, 25, 42);
-  static const RelationPtr b = MakeRel("b", 200, 25, 43);
+MapReduceJobSpec EquiJoinSpec(const RelationPtr& a, const RelationPtr& b) {
   PairwiseJoinJobSpec spec;
   spec.left = JoinSide::ForBase(a, 0);
   spec.right = JoinSide::ForBase(b, 1);
@@ -190,6 +183,12 @@ MapReduceJobSpec SmallEquiJoinSpec() {
   const auto job = BuildEquiJoinJob(spec);
   EXPECT_TRUE(job.ok());
   return *job;
+}
+
+MapReduceJobSpec SmallEquiJoinSpec() {
+  static const RelationPtr a = MakeRel("a", 200, 25, 42);
+  static const RelationPtr b = MakeRel("b", 200, 25, 43);
+  return EquiJoinSpec(a, b);
 }
 
 ::testing::AssertionResult IdenticalRelations(const Relation& a,
@@ -229,11 +228,11 @@ MapReduceJobSpec SmallEquiJoinSpec() {
   return ::testing::AssertionSuccess();
 }
 
-ParallelRunnerOptions ChaosOptions(const FaultInjector& injector,
+ParallelRunnerOptions ChaosOptions(const FaultPlan& plan,
                                    FaultReport* report) {
   ParallelRunnerOptions options;
   options.min_split_rows = 8;  // many restartable map tasks on tiny inputs
-  options.injector = &injector;
+  options.fault_plan = plan;
   options.fault_report = report;
   options.retry.backoff_base_ms = 0.05;
   options.retry.backoff_max_ms = 0.5;
@@ -249,12 +248,11 @@ TEST(RestartableTaskTest, RetriesMakeModerateChaosInvisible) {
   plan.map_failure_rate = 0.3;
   plan.reduce_failure_rate = 0.3;
   plan.alloc_failure_rate = 0.1;
-  const FaultInjector injector(plan);
   for (int threads : {1, 2, 4, 8}) {
     ThreadPool pool(threads);
     FaultReport report;
     const auto chaotic =
-        RunJobParallel(spec, pool, ChaosOptions(injector, &report));
+        RunJobParallel(spec, pool, ChaosOptions(plan, &report));
     ASSERT_TRUE(chaotic.ok()) << chaotic.status().ToString();
     EXPECT_TRUE(IdenticalRelations(*reference->output, *chaotic->output))
         << "threads=" << threads;
@@ -270,10 +268,9 @@ TEST(RestartableTaskTest, ExhaustedRetriesSurfaceAborted) {
   FaultPlan plan;
   plan.seed = 5;
   plan.map_failure_rate = 1.0;  // every attempt of every map task crashes
-  const FaultInjector injector(plan);
   ThreadPool pool(4);
   FaultReport report;
-  ParallelRunnerOptions options = ChaosOptions(injector, &report);
+  ParallelRunnerOptions options = ChaosOptions(plan, &report);
   options.retry.max_attempts = 3;
   const auto result = RunJobParallel(spec, pool, options);
   ASSERT_FALSE(result.ok());
@@ -289,10 +286,9 @@ TEST(RestartableTaskTest, AllocFailuresSurfaceResourceExhausted) {
   FaultPlan plan;
   plan.seed = 5;
   plan.alloc_failure_rate = 1.0;
-  const FaultInjector injector(plan);
   ThreadPool pool(2);
   FaultReport report;
-  ParallelRunnerOptions options = ChaosOptions(injector, &report);
+  ParallelRunnerOptions options = ChaosOptions(plan, &report);
   options.retry.max_attempts = 2;
   const auto result = RunJobParallel(spec, pool, options);
   ASSERT_FALSE(result.ok());
@@ -306,10 +302,9 @@ TEST(RestartableTaskTest, HardTimeoutSurfacesDeadlineExceeded) {
   plan.seed = 5;
   plan.straggler_rate = 1.0;       // every first attempt stalls...
   plan.straggler_delay_ms = 60.0;  // ...well past the attempt deadline
-  const FaultInjector injector(plan);
   ThreadPool pool(2);
   FaultReport report;
-  ParallelRunnerOptions options = ChaosOptions(injector, &report);
+  ParallelRunnerOptions options = ChaosOptions(plan, &report);
   options.speculation.enabled = false;  // isolate the timeout path
   options.retry.task_timeout_ms = 3.0;
   options.retry.max_attempts = 1;
@@ -328,10 +323,9 @@ TEST(RestartableTaskTest, StragglersAreSpeculativelyReExecuted) {
   plan.seed = 21;
   plan.straggler_rate = 0.4;
   plan.straggler_delay_ms = 40.0;  // far past the median-derived deadline
-  const FaultInjector injector(plan);
   ThreadPool pool(4);
   FaultReport report;
-  ParallelRunnerOptions options = ChaosOptions(injector, &report);
+  ParallelRunnerOptions options = ChaosOptions(plan, &report);
   options.speculation.min_deadline_ms = 1.0;
   const auto result = RunJobParallel(spec, pool, options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -349,9 +343,8 @@ TEST(RestartableTaskTest, ExternalCancellationStopsTheJob) {
   plan.seed = 8;
   plan.straggler_rate = 1.0;
   plan.straggler_delay_ms = 500.0;  // would take ~seconds without cancel
-  const FaultInjector injector(plan);
   ThreadPool pool(2);
-  ParallelRunnerOptions options = ChaosOptions(injector, nullptr);
+  ParallelRunnerOptions options = ChaosOptions(plan, nullptr);
   options.speculation.enabled = false;
   CancellationToken cancel;
   options.cancel = &cancel;
@@ -371,6 +364,55 @@ TEST(RestartableTaskTest, ExternalCancellationStopsTheJob) {
   // Cancellation interrupts the injected delays: nowhere near the several
   // seconds the stragglers would otherwise sleep.
   EXPECT_LT(elapsed, 5.0);
+}
+
+// The retry budget counts only failures a re-run can change. Injected map
+// crashes are retried; a reducer's real error is a deterministic function
+// of its committed input, so it fails the job at once, consuming nothing.
+TEST(RestartableTaskTest, RealTaskErrorsAreNotRetried) {
+  MapReduceJobSpec spec = SmallEquiJoinSpec();
+  const int arity = spec.output_schema.num_columns();
+  spec.reduce = [arity](const ReduceContext&, ReduceCollector& out) {
+    out.Emit(std::vector<int64_t>(arity + 1, 0));  // wrong arity
+  };
+  FaultPlan plan;
+  plan.seed = 13;
+  plan.map_failure_rate = 0.3;
+  ThreadPool pool(2);
+  FaultReport report;
+  const auto result = RunJobParallel(spec, pool, ChaosOptions(plan, &report));
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+      << result.status().ToString();
+  EXPECT_EQ(result.status().ToString().find("failed all"), std::string::npos)
+      << result.status().ToString();
+  EXPECT_GT(report.map_task_retries, 0);
+  EXPECT_EQ(report.reduce_task_retries, 0);
+}
+
+// A cancellation seen inside a map scan returns at once: it is not a task
+// failure, so it consumes no retry.
+TEST(RestartableTaskTest, CancellationInsideAMapScanIsNotRetried) {
+  const RelationPtr a = MakeRel("a", 3000, 25, 44);
+  const RelationPtr b = MakeRel("b", 200, 25, 45);
+  MapReduceJobSpec spec = EquiJoinSpec(a, b);
+  CancellationToken cancel;
+  const MapFn map = spec.map;
+  spec.map = [map, &cancel](int tag, const Relation& rel, int64_t row,
+                            MapEmitter& out) {
+    if (tag == 0 && row == 100) cancel.Cancel();
+    map(tag, rel, row, out);
+  };
+  ThreadPool pool(1);
+  FaultReport report;
+  ParallelRunnerOptions options = ChaosOptions(FaultPlan{}, &report);
+  options.min_split_rows = 4096;  // one split per input, 3000 rows long
+  options.cancel = &cancel;
+  const auto result = RunJobParallel(spec, pool, options);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kCancelled)
+      << result.status().ToString();
+  EXPECT_EQ(report.task_retries, 0);
 }
 
 // ---- Chaos differential: real workloads through the Executor ----
@@ -408,8 +450,6 @@ class ChaosDifferentialTest : public ::testing::Test {
         options.fault_plan.alloc_failure_rate = rate / 3.0;
         options.fault_plan.straggler_rate = rate / 3.0;
         options.fault_plan.straggler_delay_ms = 1.0;
-        options.fault_plan.armed = true;  // rate 0.0 still takes the
-                                          // chaos path (overhead config)
         options.retry.max_attempts = 12;  // exhaustion must not be why
                                           // this test would ever pass
         options.retry.backoff_base_ms = 0.05;
@@ -533,7 +573,6 @@ TEST_F(ChaosDifferentialTest, TinyBudgetChaosIsInvisibleAndLeaksNoFiles) {
     options.fault_plan.seed = 4321;
     options.fault_plan.map_failure_rate = 0.2;
     options.fault_plan.reduce_failure_rate = 0.2;
-    options.fault_plan.armed = true;
     options.retry.max_attempts = 12;
     options.retry.backoff_base_ms = 0.05;
     options.retry.backoff_max_ms = 0.5;
